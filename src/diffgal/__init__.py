@@ -23,7 +23,6 @@ from .errors import (
 )
 from .ratfield import (
     RatFunc,
-    Rational,
     SimplePoleObstruction,
     UPoly,
     antiderivative_in_field,
@@ -38,7 +37,6 @@ from .mpoly import (
     MRat,
     PolyRing,
     buchberger,
-    derive_mpoly,
     eliminate,
     is_groebner,
     nilpotent_exp,
@@ -55,7 +53,6 @@ from .diffop import (
     monicize,
     operator_of,
     shape_matrix,
-    skew_mul,
 )
 from .tower import (
     Generator,
@@ -63,7 +60,6 @@ from .tower import (
     TowerExpr,
     annihilator_of_iterated_integral,
     apply_operator,
-    derive_expr,
     fundamental_T,
     laurent_normal,
     nested_solutions,
@@ -100,4 +96,23 @@ from .parsing import parse_expr, parse_ratfunc
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BadSpec", "BudgetExceeded", "DegenerateGenerator", "DegenerateRecursion",
+    "DependentSolutions", "DiffgalError", "InconsistentSpec", "NoCyclicVectorFound",
+    "NotMonic", "NotNilpotent", "NotPolynomialInTheta", "NotReducedToBase",
+    "NotSupported", "ParseError", "SingularGauge", "ZeroDenominator", "ZeroEntry",
+    "ZeroPolynomial", "RatFunc", "SimplePoleObstruction", "UPoly",
+    "antiderivative_in_field", "derive", "derive_n", "hermite_reduce",
+    "squarefree_part", "Derivation", "MPoly", "MRat", "PolyRing", "buchberger",
+    "eliminate", "is_groebner", "nilpotent_exp", "normal_form", "CompanionMatrix",
+    "FMatrix", "SkewOp", "build_Lf", "companion_of", "factor_recursion",
+    "gauge_transform", "monicize", "operator_of", "shape_matrix", "Generator", "Tower",
+    "TowerExpr", "annihilator_of_iterated_integral", "apply_operator", "fundamental_T",
+    "laurent_normal", "nested_solutions", "GroupSpec", "PipelineResult",
+    "VerificationReport", "b0_matrix", "build_Au", "cyclic_vector", "default_a_choices",
+    "g_recursion", "ideal_from_lie", "lie_from_ideal", "reduce_to_F", "run_pipeline",
+    "z_ring", "IntegrabilityVerdict", "LiouvilleForm", "classify_exp", "classify_log",
+    "classify_radical", "elementary_n_witness", "infinity_integrable_in_Cx",
+    "liouville_classic_check", "liouville_constant_form_check", "n_integrable_in_Cx",
+    "verify_liouville_form", "parse_expr", "parse_ratfunc",
+]

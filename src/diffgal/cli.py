@@ -29,7 +29,7 @@ from .integrab import (
 from .mpoly import MPoly
 from .parsing import parse_expr, parse_ratfunc
 from .ratfield import RatFunc
-from .tower import Tower, TowerExpr, apply_operator
+from .tower import Tower, TowerExpr, apply_operator, rows_satisfy_T_prime_eq_AT
 
 CONFIG_ENV = "DIFFGAL_CONFIG"
 
@@ -39,7 +39,6 @@ class Config:
     groebner_budget: int = 10**6
     cyclic_search_budget: int = 200
     output_format: str = "json"
-    seed: int = 0
 
     @classmethod
     def load(cls, path: str | None) -> "Config":
@@ -48,11 +47,13 @@ class Config:
         if path:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            for key in ("groebner_budget", "cyclic_search_budget", "output_format", "seed"):
+            for key in ("groebner_budget", "cyclic_search_budget", "output_format"):
                 if key in data:
                     setattr(cfg, key, data[key])
-        if cfg.groebner_budget <= 0 or cfg.cyclic_search_budget <= 0:
-            raise ValueError("budgets must be positive")
+        for key in ("groebner_budget", "cyclic_search_budget"):
+            v = getattr(cfg, key)
+            if isinstance(v, bool) or not isinstance(v, int) or v <= 0:
+                raise ValueError(f"{key} must be a positive integer, got {v!r}")
         return cfg
 
 
@@ -319,18 +320,7 @@ def cmd_verify(args, cfg: Config) -> int:
             mdata = json.load(fh)
         a = FMatrix([[parse_ratfunc(e) for e in row] for row in mdata["matrix"]])
         t_rows = [[tower.parse(e) for e in row] for row in data["matrix_T"]]
-        n = len(t_rows)
-        checks = []
-        for i in range(n):
-            row_ok = True
-            for j in range(n):
-                rhs = tower.zero()
-                for k in range(n):
-                    if not a[i, k].is_zero():
-                        rhs = rhs + t_rows[k][j] * a[i, k]
-                if not (t_rows[i][j].derive() - rhs).is_zero():
-                    row_ok = False
-            checks.append(row_ok)
+        checks = rows_satisfy_T_prime_eq_AT(a, t_rows)
         outputs = {"matrix": _matrix_strings(a), "rows_satisfy_T_prime_eq_AT": checks}
         ok = all(checks)
     report = _report("verify", {"operator": args.operator, "matrix": args.matrix,

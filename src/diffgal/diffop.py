@@ -194,11 +194,6 @@ def _coeff_str(c: RatFunc) -> str:
     return f"({s})"
 
 
-def skew_mul(l1: SkewOp, l2: SkewOp) -> SkewOp:
-    """Product in Q(x)[D]."""
-    return l1 * l2
-
-
 def check_nonzero(fs: Sequence[RatFunc], what: str = "tuple entry") -> tuple[RatFunc, ...]:
     out = tuple(RatFunc.coerce(f) for f in fs)
     for i, f in enumerate(out):
@@ -223,6 +218,37 @@ def monicize(f_partial: Sequence[RatFunc]) -> tuple[RatFunc, ...]:
     for f in rest:
         prod = prod * f
     return (RatFunc.one() / prod,) + rest
+
+
+def gauss_jordan(rows: Sequence[Sequence], ncols: int) -> tuple[list[list], list[int], object]:
+    """Gauss-Jordan elimination over an exact field (`Fraction` or `RatFunc` entries).
+
+    Pivots on the first nonzero entry of each of the first `ncols` columns,
+    scales every pivot row to a leading 1 and clears the rest of the pivot
+    column.  Returns the reduced rows, the pivot columns and the signed product
+    of the pivots, which is the determinant of a square matrix of full rank.
+    """
+    a = [list(row) for row in rows]
+    pivots: list[int] = []
+    det = 1
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            det = -det
+        p = a[r][c]
+        det = det * p
+        pinv = 1 / p
+        a[r] = [e * pinv for e in a[r]]
+        for i, row in enumerate(a):
+            f = row[c]
+            if i != r and f:
+                a[i] = [e - f * g for e, g in zip(row, a[r])]
+        pivots.append(c)
+    return a, pivots, det
 
 
 class FMatrix:
@@ -290,46 +316,24 @@ class FMatrix:
         return FMatrix([[e.derive() for e in row] for row in self.rows])
 
     def det(self) -> RatFunc:
-        return self._elim()[0]
+        n = self._square("determinant")
+        _, pivots, det = gauss_jordan(self.rows, n)
+        return RatFunc.coerce(det) if len(pivots) == n else RatFunc.zero()
 
     def inverse(self) -> "FMatrix":
-        det, inv = self._elim()
-        if det.is_zero():
+        n = self._square("inverse")
+        one, zero = RatFunc.one(), RatFunc.zero()
+        augmented = [row + tuple(one if i == j else zero for j in range(n))
+                     for i, row in enumerate(self.rows)]
+        reduced, pivots, _ = gauss_jordan(augmented, n)
+        if len(pivots) < n:
             raise SingularGauge("matrix is singular over Q(x)")
-        assert inv is not None
-        return inv
+        return FMatrix([row[n:] for row in reduced])
 
-    def _elim(self) -> tuple[RatFunc, "FMatrix | None"]:
-        """Gauss-Jordan with first-nonzero pivoting; returns (det, inverse|None)."""
-        n = self.nrows
-        if n != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        a = [list(row) for row in self.rows]
-        b = [[RatFunc.one() if i == j else RatFunc.zero() for j in range(n)] for i in range(n)]
-        det = RatFunc.one()
-        for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if not a[r][col].is_zero():
-                    piv = r
-                    break
-            if piv is None:
-                return RatFunc.zero(), None
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                b[col], b[piv] = b[piv], b[col]
-                det = -det
-            p = a[col][col]
-            det = det * p
-            pinv = RatFunc.one() / p
-            a[col] = [e * pinv for e in a[col]]
-            b[col] = [e * pinv for e in b[col]]
-            for r in range(n):
-                if r != col and not a[r][col].is_zero():
-                    f = a[r][col]
-                    a[r] = [e - f * g for e, g in zip(a[r], a[col])]
-                    b[r] = [e - f * g for e, g in zip(b[r], b[col])]
-        return det, FMatrix(b)
+    def _square(self, what: str) -> int:
+        if self.nrows != self.ncols:
+            raise ValueError(f"{what} of a non-square matrix")
+        return self.nrows
 
     def is_strictly_upper(self) -> bool:
         return all(

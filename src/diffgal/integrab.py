@@ -22,6 +22,7 @@ from .ratfield import (
     RatFunc,
     SimplePoleObstruction,
     UPoly,
+    _primitive_int,
     antiderivative_in_field,
     derive_n,
     hermite_reduce,
@@ -185,14 +186,7 @@ def _rational_roots(p: UPoly) -> list[Fraction]:
         p = UPoly(p.coeffs[k:])
     if p.degree == 0:
         return roots
-    denlcm = 1
-    for c in p.coeffs:
-        denlcm = denlcm * c.denominator // _gcd_int(denlcm, c.denominator)
-    ints = [int(c * denlcm) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = _gcd_int(g, v)
-    ints = [v // g for v in ints]
+    ints = _primitive_int(p.coeffs)
     a0, al = ints[0], ints[-1]
     for num in _divisors(a0):
         for den in _divisors(al):
@@ -200,13 +194,6 @@ def _rational_roots(p: UPoly) -> list[Fraction]:
                 if cand not in roots and _eval_int(ints, cand) == 0:
                     roots.append(cand)
     return roots
-
-
-def _gcd_int(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _eval_int(coeffs: list[int], v: Fraction) -> Fraction:

@@ -20,6 +20,7 @@ from .diffop import (
     SkewOp,
     build_Lf,
     gauge_transform,
+    gauss_jordan,
     monicize,
     shape_matrix,
 )
@@ -44,7 +45,7 @@ from .mpoly import (
     DEFAULT_BUDGET,
 )
 from .ratfield import RatFunc, hermite_reduce
-from .tower import fundamental_T
+from .tower import fundamental_T, rows_satisfy_T_prime_eq_AT
 
 DEFAULT_CYCLIC_BUDGET = 200
 
@@ -74,32 +75,11 @@ def _check_strictly_upper(m: QMatrix, n: int, what: str):
 
 
 def _independent(mats: Sequence[QMatrix], n: int) -> bool:
-    rows = [[m[i][j] for i in range(n) for j in range(i + 1, n)] for m in mats]
-    return _rank(rows) == len(mats)
+    return _rank([_flat(m, n) for m in mats]) == len(mats)
 
 
 def _rank(rows: list[list[Fraction]]) -> int:
-    rows = [r[:] for r in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        inv = Fraction(1) / pr[c]
-        rows[rank] = [e * inv for e in pr]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c] != 0:
-                f = rows[r][c]
-                rows[r] = [e - f * g for e, g in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+    return len(gauss_jordan(rows, len(rows[0]) if rows else 0)[1])
 
 
 @dataclass
@@ -440,11 +420,10 @@ def run_pipeline(spec: GroupSpec, groebner_budget: int = DEFAULT_BUDGET,
     au = build_Au(spec)
 
     ring = z_ring(n)
-    rational_ring = z_ring(n, coeff="rational")
     gb = buchberger(_ground(spec.ideal_gens, ring), ring, groebner_budget)
     deriv = derivation_from_Au(au, ring)
 
-    v, b = cyclic_vector(au, cyclic_budget)
+    _, b = cyclic_vector(au, cyclic_budget)
     a_c_matrix = gauge_transform(au, b)
     companion = CompanionMatrix.from_matrix(a_c_matrix)
     report = VerificationReport()
@@ -452,12 +431,11 @@ def run_pipeline(spec: GroupSpec, groebner_budget: int = DEFAULT_BUDGET,
     if companion is None:
         raise InconsistentSpec("gauge transform did not produce a companion matrix")
 
-    # W = B0 B Z, a Wronskian with first row (1, w_2, ..., w_n).
+    # W = B0 B Z is a Wronskian with first row (1, w_2, ..., w_n); that row is
+    # the first row of B Z divided by Y1 = B_11.
     z = generic_point(ring, n)
     bz_first = [_row_times_z(b, z, j, ring) for j in range(n)]
-    y1 = b[0, 0]
-    b0 = b0_matrix(y1, n)
-    y1_inv = RatFunc.one() / y1
+    y1_inv = RatFunc.one() / b[0, 0]
     ws = [MRat(p.scale(y1_inv), ring.one()) for p in bz_first[1:]]
 
     gs = g_recursion(ws, deriv)
@@ -532,19 +510,7 @@ def _check_annihilation(ws: Sequence[MRat], f_partial: Sequence[RatFunc],
 
 def _check_fundamental(a_matrix: FMatrix, f_partial: Sequence[RatFunc]) -> bool:
     """T' = A T entrywise for the tower-built fundamental matrix."""
-    t = fundamental_T(f_partial)
-    n = len(t)
-    zero = t[0][0].tower.zero()
-    for i in range(n):
-        for j in range(n):
-            rhs = zero
-            for k in range(n):
-                c = a_matrix[i, k]
-                if not c.is_zero():
-                    rhs = rhs + t[k][j] * c
-            if not (t[i][j].derive() - rhs).is_zero():
-                return False
-    return True
+    return all(rows_satisfy_T_prime_eq_AT(a_matrix, fundamental_T(f_partial)))
 
 
 def ideal_from_lie(lie_basis: Sequence[QMatrix], n: int,
@@ -620,35 +586,15 @@ def lie_from_ideal(ideal_gens: Sequence[MPoly], n: int) -> list[QMatrix]:
 
 
 def _nullspace(rows: list[list[Fraction]], m: int) -> list[list[Fraction]]:
-    if not rows:
-        rows = [[Fraction(0)] * m]
-    a = [r[:] for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(m):
-        piv = None
-        for rr in range(r, len(a)):
-            if a[rr][c] != 0:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = Fraction(1) / a[r][c]
-        a[r] = [e * inv for e in a[r]]
-        for rr in range(len(a)):
-            if rr != r and a[rr][c] != 0:
-                f = a[rr][c]
-                a[rr] = [e - f * g for e, g in zip(a[rr], a[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(m) if c not in pivots]
+    reduced, pivots, _ = gauss_jordan(rows, m)
     out = []
-    for fc in free:
+    for fc in range(m):
+        if fc in pivots:
+            continue
         vec = [Fraction(0)] * m
         vec[fc] = Fraction(1)
         for ri, pc in enumerate(pivots):
-            vec[pc] = -a[ri][fc]
+            vec[pc] = -reduced[ri][fc]
         out.append(vec)
     return out
 
@@ -663,10 +609,8 @@ def lie_ideal_roundtrip_consistent(spec: GroupSpec, budget: int = DEFAULT_BUDGET
     if [str(g) for g in gb1] != [str(g) for g in gb2]:
         return False
     lie2 = lie_from_ideal(spec.ideal_gens, spec.n)
-    span1 = [[m[i][j] for i in range(spec.n) for j in range(i + 1, spec.n)]
-             for m in spec.lie_basis]
-    span2 = [[m[i][j] for i in range(spec.n) for j in range(i + 1, spec.n)]
-             for m in lie2]
+    span1 = [_flat(m, spec.n) for m in spec.lie_basis]
+    span2 = [_flat(m, spec.n) for m in lie2]
     if len(span1) != len(span2):
         return False
     return _rank(span1 + span2) == _rank(span1)

@@ -471,11 +471,6 @@ class Derivation:
         return out
 
 
-def derive_mpoly(p: MPoly, d: Derivation) -> MPoly:
-    """Image of p under the derivation d."""
-    return d.derive(p)
-
-
 def nilpotent_exp(x_mat: Sequence[Sequence[MPoly]]) -> list[list[MPoly]]:
     """Exact exponential of a strictly upper-triangular matrix of polynomials."""
     n = len(x_mat)
@@ -684,61 +679,96 @@ def _single_var(p: MPoly, ring: PolyRing) -> int | None:
 def _cancel_univariate(num: MPoly, den: MPoly, i: int) -> tuple[MPoly, MPoly]:
     """Cancel the gcd when both parts are univariate in the same variable."""
     ring = num.ring
-
-    def to_list(p: MPoly):
-        d = p.degree_in(i)
-        out = [ring.czero] * (d + 1)
-        for m, c in p.terms.items():
-            out[m[i]] = c
-        return out
-
-    def from_list(cs):
-        terms = {}
-        for e, c in enumerate(cs):
-            if c:
-                mono = tuple(e if k == i else 0 for k in range(ring.nvars))
-                terms[mono] = c
-        return MPoly(ring, terms)
-
-    def norm(cs):
-        while cs and not cs[-1]:
-            cs.pop()
-        return cs
-
-    def polymod(a, b):
-        a = a[:]
-        db = len(b) - 1
-        lb = b[-1]
-        while len(a) - 1 >= db and a:
-            f = a[-1] / lb
-            off = len(a) - 1 - db
-            for k, c in enumerate(b):
-                a[off + k] = a[off + k] - f * c
-            norm(a)
-            if not a:
-                break
-        return a
-
-    a, b = norm(to_list(num)), norm(to_list(den))
-    x, y = a[:], b[:]
-    while y:
-        x, y = y, polymod(x, y)
-    if len(x) <= 1:
+    a, b = to_dense(num, i), to_dense(den, i)
+    g = dense_gcd(a, b, ring)
+    if len(g) <= 1:
         return num, den
-    g = x
+    return (from_dense(dense_divmod(a, g, ring)[0], i, ring),
+            from_dense(dense_divmod(b, g, ring)[0], i, ring))
 
-    def polydiv(a, b):
-        a = a[:]
-        q = [ring.czero] * (len(a) - len(b) + 1)
-        db = len(b) - 1
-        lb = b[-1]
-        while len(a) - 1 >= db and a:
-            f = a[-1] / lb
-            q[len(a) - 1 - db] = f
-            off = len(a) - 1 - db
-            for k, c in enumerate(b):
-                a[off + k] = a[off + k] - f * c
-            norm(a)
-        return q
 
-    return from_list(polydiv(a, g)), from_list(polydiv(b, g))
+# -- dense univariate polynomials over a field -----------------------------------
+#
+# Coefficient lists, lowest degree first, over the coefficient field of a
+# `PolyRing` (`Fraction` or `RatFunc`); the empty list is zero.  Results are
+# never scaled to be monic.
+
+
+def to_dense(p: MPoly, i: int) -> list:
+    """Coefficients of p, which involves no variable but the i-th."""
+    out = [p.ring.czero] * (p.degree_in(i) + 1)
+    for m, c in p.terms.items():
+        out[m[i]] = c
+    return out
+
+
+def from_dense(cs: Sequence, i: int, ring: PolyRing) -> MPoly:
+    """The polynomial sum_e cs[e] * (i-th variable)^e."""
+    zeros = (0,) * ring.nvars
+    return MPoly(ring, {zeros[:i] + (e,) + zeros[i + 1:]: c for e, c in enumerate(cs) if c})
+
+
+def dense_divmod(a: Sequence, b: Sequence, ring: PolyRing) -> tuple[list, list]:
+    """Quotient and remainder of a by a nonzero b; the remainder has no trailing zeros."""
+    r = _trim(list(a))
+    db = len(b) - 1
+    lead = b[-1]
+    q = [ring.czero] * max(1, len(r) - db)
+    while r and len(r) - 1 >= db:
+        f = r[-1] / lead
+        off = len(r) - 1 - db
+        q[off] = f
+        for k, c in enumerate(b):
+            r[off + k] = r[off + k] - f * c
+        _trim(r)
+    return q, r
+
+
+def dense_gcd(a: Sequence, b: Sequence, ring: PolyRing) -> list:
+    """A greatest common divisor by Euclid: the last nonzero remainder."""
+    a, b = _trim(list(a)), _trim(list(b))
+    while b:
+        a, b = b, dense_divmod(a, b, ring)[1]
+    return a
+
+
+def dense_inverse_mod(a: Sequence, m: Sequence, ring: PolyRing) -> list | None:
+    """The inverse of a modulo m, or None when gcd(a, m) is not a constant.
+
+    Extended Euclid tracking only the cofactor of a; it stops at the first
+    constant remainder.  The result may carry trailing zeros.
+    """
+    r0, r1 = list(m), _trim(list(a))
+    s0, s1 = [ring.czero], [ring.cone]
+    while r1:
+        if len(r1) == 1:
+            inv = ring.cone / r1[0]
+            return [c * inv for c in s1]
+        q, r = dense_divmod(r0, r1, ring)
+        r0, r1 = r1, r
+        s0, s1 = s1, _dense_sub(s0, _dense_mul(q, s1, ring), ring)
+    return None
+
+
+def _trim(p: list) -> list:
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _dense_mul(a: Sequence, b: Sequence, ring: PolyRing) -> list:
+    if not a or not b:
+        return []
+    out = [ring.czero] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                if cb:
+                    out[i + j] = out[i + j] + ca * cb
+    return out
+
+
+def _dense_sub(a: Sequence, b: Sequence, ring: PolyRing) -> list:
+    z = ring.czero
+    return [(a[k] if k < len(a) else z) - (b[k] if k < len(b) else z)
+            for k in range(max(len(a), len(b)))]

@@ -16,8 +16,6 @@ from typing import Iterable
 
 from .errors import ZeroDenominator, ZeroPolynomial
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .diffop import SkewOp, build_Lf, check_nonzero
+from .diffop import FMatrix, SkewOp, build_Lf, check_nonzero
 from .errors import DegenerateGenerator, NotPolynomialInTheta, ZeroEntry
-from .mpoly import MPoly, MRat, PolyRing
+from .mpoly import Derivation, MPoly, MRat, PolyRing, dense_inverse_mod, from_dense, to_dense
 from .ratfield import RatFunc
 
 
@@ -45,7 +45,9 @@ class Tower:
     def __init__(self):
         self.gens: list[Generator] = []
         self.ring = PolyRing((), coeff="ratfunc")
-        self._poly_images = True
+        # The derivation of Q(x)[th_1, ..., th_k] while every generator image is
+        # polynomial; None once one is not.
+        self._derivation: Derivation | None = Derivation(self.ring, [])
 
     # -- construction ------------------------------------------------------
 
@@ -57,8 +59,12 @@ class Tower:
     def _install(self, gen: Generator, image: MRat) -> "TowerExpr":
         gen.derivative = image
         self.gens.append(gen)
-        if not image.is_poly():
-            self._poly_images = False
+        for g in self.gens:  # every image lives in the newest ring
+            g.derivative = MRat(_lift_poly(g.derivative.num, self.ring),
+                                _lift_poly(g.derivative.den, self.ring), normalize=False)
+        images = [g.derivative for g in self.gens]
+        self._derivation = (Derivation(self.ring, [img.num for img in images])
+                            if all(img.is_poly() for img in images) else None)
         return self.gen_expr(gen.name)
 
     def add_log(self, name: str, u) -> "TowerExpr":
@@ -146,29 +152,12 @@ class Tower:
 
     # -- derivation ----------------------------------------------------------
 
-    def _image(self, i: int) -> MRat:
-        img = self.gens[i].derivative
-        if img.ring != self.ring:
-            img = MRat(_lift_poly(img.num, self.ring), _lift_poly(img.den, self.ring),
-                       normalize=False)
-            self.gens[i].derivative = img
-        return img
-
     def derive_poly(self, p: MPoly):
         """Derivative of a polynomial in the generators; MPoly when every
         generator image is polynomial, MRat otherwise."""
+        if self._derivation is not None:
+            return self._derivation.derive(p)
         ring = self.ring
-        if self._poly_images:
-            out = ring.zero()
-            for m, c in p.terms.items():
-                dc = c.derive()
-                if dc:
-                    out = out + MPoly(ring, {m: dc})
-                for i, e in enumerate(m):
-                    if e:
-                        lowered = tuple(x - 1 if k == i else x for k, x in enumerate(m))
-                        out = out + MPoly(ring, {lowered: c * e}) * self._image(i).num
-            return out
         out = MRat(ring.zero(), ring.one(), normalize=False)
         for m, c in p.terms.items():
             dc = c.derive()
@@ -177,7 +166,7 @@ class Tower:
             for i, e in enumerate(m):
                 if e:
                     lowered = tuple(x - 1 if k == i else x for k, x in enumerate(m))
-                    out = out + self._image(i) * MPoly(ring, {lowered: c * e})
+                    out = out + self.gens[i].derivative * MPoly(ring, {lowered: c * e})
         return out
 
     def reduce_poly(self, p: MPoly) -> MPoly:
@@ -226,88 +215,13 @@ def _rationalize_radical(tower: Tower, num: MPoly, den: MPoly) -> tuple[MPoly, M
         for k, e in enumerate(m):
             if e and k != idx:
                 return num, den  # mixed denominator: leave as a fraction
-    ring = den.ring
-    # dense coefficient list of den in th
-    coeffs = [RatFunc.zero()] * root
-    for m, c in den.terms.items():
-        coeffs[m[idx]] = coeffs[m[idx]] + c
     # modulus th^root - x
     modulus = [-RatFunc.x()] + [RatFunc.zero()] * (root - 1) + [RatFunc.one()]
-    inv = _poly_inverse_mod(coeffs, modulus)
+    inv = dense_inverse_mod(to_dense(den, idx), modulus, den.ring)
     if inv is None:
         return num, den
-    inv_terms = {}
-    for e, c in enumerate(inv):
-        if not c.is_zero():
-            mono = tuple(e if k == idx else 0 for k in range(ring.nvars))
-            inv_terms[mono] = c
-    inv_poly = MPoly(ring, inv_terms)
-    new_num = tower.reduce_poly(num * inv_poly)
-    new_den = tower.reduce_poly(den * inv_poly)
-    return new_num, new_den
-
-
-def _poly_inverse_mod(a: list[RatFunc], m: list[RatFunc]) -> list[RatFunc] | None:
-    """Inverse of a modulo m over the field Q(x), dense lists by degree."""
-
-    def norm(p):
-        p = p[:]
-        while p and p[-1].is_zero():
-            p.pop()
-        return p
-
-    def divmod_(p, q):
-        p = p[:]
-        dq = len(q) - 1
-        lead = q[-1]
-        quo = [RatFunc.zero()] * max(1, len(p) - dq)
-        while p and len(p) - 1 >= dq:
-            f = p[-1] / lead
-            off = len(p) - 1 - dq
-            quo[off] = f
-            for k in range(dq + 1):
-                p[off + k] = p[off + k] - f * q[k]
-            p = norm(p)
-        return quo, p
-
-    a = norm(a)
-    if not a:
-        return None
-    r0, r1 = m[:], a
-    s0, s1 = [RatFunc.zero()], [RatFunc.one()]
-    while True:
-        r1 = norm(r1)
-        if not r1:
-            return None
-        if len(r1) == 1:
-            inv = RatFunc.one() / r1[0]
-            return [c * inv for c in s1]
-        q, r = divmod_(r0, r1)
-        s_next = _poly_sub(s0, _poly_mul(q, s1))
-        r0, r1 = r1, r
-        s0, s1 = s1, s_next
-
-
-def _poly_mul(a: list[RatFunc], b: list[RatFunc]) -> list[RatFunc]:
-    if not a or not b:
-        return []
-    out = [RatFunc.zero()] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if not ca.is_zero():
-            for j, cb in enumerate(b):
-                if not cb.is_zero():
-                    out[i + j] = out[i + j] + ca * cb
-    return out
-
-
-def _poly_sub(a: list[RatFunc], b: list[RatFunc]) -> list[RatFunc]:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else RatFunc.zero()
-        y = b[i] if i < len(b) else RatFunc.zero()
-        out.append(x - y)
-    return out
+    inv_poly = from_dense(inv, idx, den.ring)
+    return tower.reduce_poly(num * inv_poly), tower.reduce_poly(den * inv_poly)
 
 
 def _lift_poly(p: MPoly, ring: PolyRing) -> MPoly:
@@ -470,11 +384,6 @@ class TowerExpr:
         return f"TowerExpr({self})"
 
 
-def derive_expr(e: TowerExpr) -> TowerExpr:
-    """Derivative in the tower."""
-    return e.derive()
-
-
 def apply_operator(op: SkewOp, e: TowerExpr) -> TowerExpr:
     """Apply sum_i a_i D^i to a tower expression."""
     out = e.tower.zero()
@@ -544,6 +453,23 @@ def fundamental_T(f_partial: Sequence[RatFunc]) -> list[list[TowerExpr]]:
                 row.append(ts[(k, l)])
         rows.append(row)
     return rows
+
+
+def rows_satisfy_T_prime_eq_AT(a: FMatrix, t: Sequence[Sequence[TowerExpr]]) -> list[bool]:
+    """For each row i: does T'_ij = sum_k A_ik T_kj hold for every column j?"""
+    n = len(t)
+    if n == 0 or a.nrows != n or a.ncols != n or any(len(row) != n for row in t):
+        raise ValueError("A and T must be nonempty square matrices of the same size")
+
+    def entry_ok(i: int, j: int) -> bool:
+        rhs = t[i][j].tower.zero()
+        for k in range(n):
+            c = a[i, k]
+            if not c.is_zero():
+                rhs = rhs + t[k][j] * c
+        return (t[i][j].derive() - rhs).is_zero()
+
+    return [all(entry_ok(i, j) for j in range(n)) for i in range(n)]
 
 
 def annihilator_of_iterated_integral(f: RatFunc, n: int) -> SkewOp:

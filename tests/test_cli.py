@@ -214,6 +214,19 @@ class TestVerify:
         assert code == 0
         assert rep["outputs"]["rows_satisfy_T_prime_eq_AT"] == [True, True]
 
+    def test_matrix_size_mismatch_exit_2(self, capsys, tmp_path):
+        # a 3x3 A against a 2x2 T used to check only the top-left block, and
+        # empty matrices used to verify vacuously
+        tower = tmp_path / "tower.json"
+        mat = tmp_path / "matrix.json"
+        t_2x2 = {"generators": [{"name": "i1", "kind": "integral", "arg": "1"}],
+                 "matrix_T": [["1", "i1"], ["0", "1"]]}
+        a_3x3 = {"matrix": [["0", "1", "0"], ["0", "0", "x"], ["0", "0", "0"]]}
+        for t, a in ((t_2x2, a_3x3), ({"matrix_T": []}, {"matrix": []})):
+            tower.write_text(json.dumps(t))
+            mat.write_text(json.dumps(a))
+            assert main(["verify", "--matrix", str(mat), "--tower", str(tower)]) == 2
+
     def test_requires_exactly_one_mode(self, capsys, tmp_path):
         tower = tmp_path / "t.json"
         tower.write_text("{}")
@@ -263,8 +276,10 @@ class TestConfigAndSelftest:
 
     def test_bad_budget_rejected(self, capsys, tmp_path, spec_file):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"groebner_budget": 0}))
-        assert main(["--config", str(cfg), "construct", "--spec", spec_file]) == 2
+        for key in ("groebner_budget", "cyclic_search_budget"):
+            for budget in (0, "10", None, True):
+                cfg.write_text(json.dumps({key: budget}))
+                assert main(["--config", str(cfg), "construct", "--spec", spec_file]) == 2
 
     def test_env_config(self, capsys, tmp_path, spec_file, monkeypatch):
         cfg = tmp_path / "cfg.json"

@@ -1,0 +1,101 @@
+"""Golden CLI reports: every case's JSON report, with `timing_ms` removed,
+must match `tests/golden/<case>.json` byte for byte.
+
+The golden files record the exit code and the report. Regenerate them only
+when a change of output is intended:
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import io
+import json
+import os
+import sys
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _e(n, *cells):
+    """n x n matrix with ones at the given 1-based (row, column) cells."""
+    return [[1 if (i + 1, j + 1) in cells else 0 for j in range(n)] for i in range(n)]
+
+
+def _verify_matrix_case(t13: str):
+    """T' = A T for the shape matrix of (x + 1, 1/(x - 2)), with T_13 given."""
+    tower = {"generators": [{"name": "t_1_2", "kind": "integral", "arg": "x - 2"},
+                            {"name": "t_2_3", "kind": "integral", "arg": "1/(x + 1)"},
+                            {"name": "t_1_3", "kind": "integral", "arg": "(x - 2)*t_2_3"}],
+             "matrix_T": [["1", "t_1_2", t13], ["0", "1", "t_2_3"], ["0", "0", "1"]]}
+    matrix = {"matrix": [["0", "x - 2", "0"], ["0", "0", "1/(x + 1)"], ["0", "0", "0"]]}
+    return (["verify", "--matrix", "matrix.json", "--tower", "tower.json"],
+            {"tower.json": tower, "matrix.json": matrix})
+
+
+# case name -> (argv, files written to the working directory first)
+CASES = {
+    "construct_full_u4": (["construct", "--spec", "spec.json"],
+                          {"spec.json": {"n": 4, "ideal": []}}),
+    "construct_lie_only_heisenberg": (
+        ["construct", "--spec", "spec.json"],
+        {"spec.json": {"n": 4, "lie_basis": [_e(4, (1, 2)), _e(4, (2, 3)), _e(4, (1, 3))]}}),
+    "construct_lie_only_one_parameter": (
+        ["construct", "--spec", "spec.json"],
+        {"spec.json": {"n": 4, "lie_basis": [_e(4, (1, 2), (2, 3), (3, 4))]}}),
+    "construct_ideal_only": (["construct", "--spec", "spec.json"],
+                             {"spec.json": {"n": 3, "ideal": ["Z_2_3"]}}),
+    "construct_ideal_only_u4": (["construct", "--spec", "spec.json"],
+                                {"spec.json": {"n": 4, "ideal": ["Z_1_2 - Z_3_4", "Z_2_3"]}}),
+    "integrate_rational_logs": (["integrate", "--field", "rational",
+                                 "--expr", "1/(x - 3)^2 + 2/x", "--depth", "2"], {}),
+    "integrate_rational_logs_split": (["integrate", "--field", "rational",
+                                       "--expr", "1/(x^2-1)", "--depth", "2"], {}),
+    "integrate_radical_rationalised": (["integrate", "--field", "radical:3",
+                                        "--expr", "(x+1)/(r+1)", "--depth", "2"], {}),
+    "integrate_radical_obstruction": (["integrate", "--field", "radical:3",
+                                       "--expr", "1/(r^2+1)", "--depth", "inf"], {}),
+    "expand_three": (["expand", "(1,x,x^2)", "--fnext", "x+1"], {}),
+    "verify_operator": (
+        ["verify", "--operator", "D*x*D", "--tower", "tower.json"],
+        {"tower.json": {"generators": [{"name": "th", "kind": "log", "arg": "x"}],
+                        "solutions": ["th", "1", "th^2"]}}),
+    "verify_matrix": _verify_matrix_case("t_1_3"),
+    "verify_matrix_one_row_fails": _verify_matrix_case("t_1_3 + x"),
+}
+
+
+def run_case(name: str) -> str:
+    """The case's canonical golden text: exit code and report minus timing_ms."""
+    from diffgal.cli import main
+
+    argv, files = CASES[name]
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for fname, content in files.items():
+            Path(tmp, fname).write_text(json.dumps(content))
+        os.chdir(tmp)
+        try:
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+    report = json.loads(buf.getvalue())
+    report.pop("timing_ms")
+    return json.dumps({"exit": code, "report": report}, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name):
+    assert run_case(name) == (GOLDEN / f"{name}.json").read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for case in sorted(CASES):
+        (GOLDEN / f"{case}.json").write_text(run_case(case))
+        print(f"wrote {case}", file=sys.stderr)

@@ -54,6 +54,8 @@ class Config:
             v = getattr(cfg, key)
             if isinstance(v, bool) or not isinstance(v, int) or v <= 0:
                 raise ValueError(f"{key} must be a positive integer, got {v!r}")
+        if cfg.output_format not in ("json", "text"):
+            raise ValueError(f"output_format must be 'json' or 'text', got {cfg.output_format!r}")
         return cfg
 
 
@@ -134,9 +136,9 @@ def _rational_entry(e) -> Fraction:
         if not val.is_constant():
             raise ParseError(f"matrix entry {e!r} is not a rational constant")
         return val.as_fraction()
-    if isinstance(e, (int, float)):
+    if isinstance(e, int) and not isinstance(e, bool):
         return Fraction(e)
-    raise ParseError(f"bad matrix entry {e!r}")
+    raise ParseError(f"matrix entry {e!r} must be an integer or a rational string")
 
 
 def cmd_construct(args, cfg: Config) -> int:

@@ -88,6 +88,15 @@ class TestConstruct:
         bad.write_text(json.dumps({"ideal": ["Z_2_3"]}))
         assert main(["construct", "--spec", str(bad)]) == 2
 
+    def test_float_and_bool_matrix_entries_exit_2(self, capsys, tmp_path):
+        # 0.1 would otherwise become 3602879701896397/36028797018963968.
+        path = tmp_path / "spec.json"
+        for entry in (0.1, True):
+            spec = {"n": 3, "lie_basis": [[[0, entry, 0], [0, 0, 0], [0, 0, 0]]]}
+            path.write_text(json.dumps(spec))
+            assert main(["construct", "--spec", str(path)]) == 2
+            assert "must be an integer or a rational string" in capsys.readouterr().err
+
     def test_full_u3_spec(self, capsys, tmp_path):
         spec = {
             "n": 3,
@@ -280,6 +289,13 @@ class TestConfigAndSelftest:
             for budget in (0, "10", None, True):
                 cfg.write_text(json.dumps({key: budget}))
                 assert main(["--config", str(cfg), "construct", "--spec", spec_file]) == 2
+
+    def test_bad_output_format_rejected(self, capsys, tmp_path, spec_file):
+        cfg = tmp_path / "cfg.json"
+        for fmt in (5, "xml", None):
+            cfg.write_text(json.dumps({"output_format": fmt}))
+            assert main(["--config", str(cfg), "construct", "--spec", spec_file]) == 2
+            assert capsys.readouterr().out == ""
 
     def test_env_config(self, capsys, tmp_path, spec_file, monkeypatch):
         cfg = tmp_path / "cfg.json"

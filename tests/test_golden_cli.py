@@ -10,9 +10,11 @@ when a change of output is intended:
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -36,10 +38,36 @@ def _verify_matrix_case(t13: str):
             {"tower.json": tower, "matrix.json": matrix})
 
 
+def _full_u6_poles_spec():
+    """Full U(6) with five seeded, distinct rational poles for the a_i."""
+    rng = random.Random(6)
+    poles = []
+    while len(poles) < 5:
+        p = Fraction(rng.randint(-9, 9), rng.randint(2, 7))
+        if p not in poles:
+            poles.append(p)
+    return {"n": 6, "ideal": [],
+            "a": [f"1/(x - {p})" if p >= 0 else f"1/(x + {-p})" for p in poles]}
+
+
+def _one_parameter_u5_spec():
+    """One-parameter subgroup of U(5), given by a seeded Lie basis only."""
+    rng = random.Random(5)
+    mat = [[0] * 5 for _ in range(5)]
+    for i in range(5):
+        for j in range(i + 1, 5):
+            mat[i][j] = rng.choice((-2, -1, 1, 2)) if j == i + 1 else rng.randint(-3, 3)
+    return {"n": 5, "lie_basis": [mat]}
+
+
 # case name -> (argv, files written to the working directory first)
 CASES = {
     "construct_full_u4": (["construct", "--spec", "spec.json"],
                           {"spec.json": {"n": 4, "ideal": []}}),
+    "construct_full_u6_poles": (["construct", "--spec", "spec.json"],
+                                {"spec.json": _full_u6_poles_spec()}),
+    "construct_lie_only_one_parameter_u5": (["construct", "--spec", "spec.json"],
+                                            {"spec.json": _one_parameter_u5_spec()}),
     "construct_lie_only_heisenberg": (
         ["construct", "--spec", "spec.json"],
         {"spec.json": {"n": 4, "lie_basis": [_e(4, (1, 2)), _e(4, (2, 3)), _e(4, (1, 3))]}}),

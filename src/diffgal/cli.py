@@ -29,9 +29,25 @@ from .integrab import (
 from .mpoly import MPoly
 from .parsing import parse_expr, parse_ratfunc
 from .ratfield import RatFunc
-from .tower import Tower, TowerExpr, apply_operator, rows_satisfy_T_prime_eq_AT
+from .tower import (Tower, TowerExpr, apply_operator, nested_solutions,
+                    rows_satisfy_T_prime_eq_AT)
 
 CONFIG_ENV = "DIFFGAL_CONFIG"
+
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def _expect(value, kind: type, what: str):
+    """`value` if it is a JSON value of the given kind, else a ParseError."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ParseError(f"{what} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _load_json(path: str, what: str) -> dict:
+    """The JSON object held by the file at `path`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _expect(json.load(fh), dict, what)
 
 
 @dataclass
@@ -45,8 +61,7 @@ class Config:
         cfg = cls()
         path = path or os.environ.get(CONFIG_ENV)
         if path:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+            data = _load_json(path, "the config file")
             for key in ("groebner_budget", "cyclic_search_budget", "output_format"):
                 if key in data:
                     setattr(cfg, key, data[key])
@@ -110,7 +125,7 @@ def _parse_group_spec(data: dict) -> inverse.GroupSpec:
     ideal = None
     if "ideal" in data:
         ideal = []
-        for s in data["ideal"]:
+        for s in _expect(data["ideal"], list, "'ideal'"):
             val = parse_expr(s, atoms, ring.const)
             if not isinstance(val, MPoly):
                 val = ring.const(val)
@@ -118,16 +133,18 @@ def _parse_group_spec(data: dict) -> inverse.GroupSpec:
     basis = None
     if "lie_basis" in data:
         basis = []
-        for raw in data["lie_basis"]:
+        for raw in _expect(data["lie_basis"], list, "'lie_basis'"):
             mat = []
-            for row in raw:
-                mat.append(tuple(_rational_entry(e) for e in row))
+            for row in _expect(raw, list, "a Lie basis matrix"):
+                mat.append(tuple(_rational_entry(e) for e in _expect(row, list, "a matrix row")))
             basis.append(tuple(mat))
     a = None
     if "a" in data:
-        a = [parse_ratfunc(s) for s in data["a"]]
-    return inverse.GroupSpec(n=n, ideal_gens=ideal, lie_basis=basis,
-                             l=data.get("l"), a_choices=a)
+        a = [parse_ratfunc(s) for s in _expect(data["a"], list, "'a'")]
+    l = data.get("l")
+    if l is not None:
+        _expect(l, int, "'l'")
+    return inverse.GroupSpec(n=n, ideal_gens=ideal, lie_basis=basis, l=l, a_choices=a)
 
 
 def _rational_entry(e) -> Fraction:
@@ -143,8 +160,7 @@ def _rational_entry(e) -> Fraction:
 
 def cmd_construct(args, cfg: Config) -> int:
     started = time.monotonic()
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _load_json(args.spec, "the spec file")
     spec = _parse_group_spec(data)
     result = inverse.run_pipeline(spec, groebner_budget=cfg.groebner_budget,
                                   cyclic_budget=cfg.cyclic_search_budget)
@@ -178,8 +194,6 @@ def _parse_tuple(text: str) -> list[RatFunc]:
 
 def cmd_expand(args, cfg: Config) -> int:
     started = time.monotonic()
-    from .tower import nested_solutions
-
     fs = _parse_tuple(args.tuple)
     f_next = parse_ratfunc(args.fnext)
     op = build_Lf(fs)
@@ -278,12 +292,12 @@ def cmd_integrate(args, cfg: Config) -> int:
 
 
 def _load_tower(path: str) -> tuple[Tower, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _load_json(path, "the tower file")
     tower = Tower()
-    for decl in data.get("generators", []):
+    for decl in _expect(data.get("generators", []), list, "'generators'"):
+        decl = _expect(decl, dict, "a generator")
         kind = decl["kind"]
-        name = decl["name"]
+        name = _expect(decl["name"], str, "a generator name")
         if kind == "log":
             tower.add_log(name, tower.parse(decl["arg"]))
         elif kind == "exp":
@@ -311,17 +325,18 @@ def cmd_verify(args, cfg: Config) -> int:
     outputs: dict
     if args.operator:
         op = _parse_operator(args.operator)
-        sols = [tower.parse(s) for s in data.get("solutions", [])]
+        sols = [tower.parse(s) for s in _expect(data.get("solutions", []), list, "'solutions'")]
         if not sols:
             raise ParseError("tower file has no 'solutions'")
         checks = [apply_operator(op, s).is_zero() for s in sols]
         outputs = {"operator": str(op), "annihilated": checks}
         ok = all(checks)
     else:
-        with open(args.matrix, "r", encoding="utf-8") as fh:
-            mdata = json.load(fh)
-        a = FMatrix([[parse_ratfunc(e) for e in row] for row in mdata["matrix"]])
-        t_rows = [[tower.parse(e) for e in row] for row in data["matrix_T"]]
+        mdata = _load_json(args.matrix, "the matrix file")
+        a = FMatrix([[parse_ratfunc(e) for e in _expect(row, list, "a matrix row")]
+                     for row in _expect(mdata["matrix"], list, "'matrix'")])
+        t_rows = [[tower.parse(e) for e in _expect(row, list, "a matrix row")]
+                  for row in _expect(data["matrix_T"], list, "'matrix_T'")]
         checks = rows_satisfy_T_prime_eq_AT(a, t_rows)
         outputs = {"matrix": _matrix_strings(a), "rows_satisfy_T_prime_eq_AT": checks}
         ok = all(checks)

@@ -112,19 +112,11 @@ class MPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
-
     def is_constant(self) -> bool:
         return all(sum(m) == 0 for m in self.terms)
 
     def constant_coeff(self):
         return self.terms.get(self.ring._zero_mono, self.ring.czero)
-
-    def coeff_of(self, mono: Monomial):
-        return self.terms.get(mono, self.ring.czero)
 
     def lm(self) -> Monomial:
         if not self.terms:
@@ -253,14 +245,6 @@ class MPoly:
             qterms[m] = c
             rem = rem - MPoly(self.ring, {m: c}) * other
         return MPoly(self.ring, qterms)
-
-    def map_coeffs(self, fn) -> "MPoly":
-        out = {}
-        for m, c in self.terms.items():
-            v = fn(c)
-            if v:
-                out[m] = v
-        return MPoly(self.ring, out)
 
     def sorted_terms(self) -> list[tuple[Monomial, object]]:
         return sorted(self.terms.items(), key=lambda t: self.ring.key(t[0]), reverse=True)
@@ -447,23 +431,39 @@ def eliminate(gens: Sequence[MPoly], elim_names: Sequence[str],
 
 class Derivation:
     """Derivation on a `PolyRing` over Q(x): coefficient rule plus images of
-    the variables, extended by Leibniz."""
+    the variables, extended by Leibniz.
 
-    def __init__(self, ring: PolyRing, images: Sequence[MPoly]):
+    Images may be `MPoly` or `MRat`.  `den` is one common denominator of the
+    images and `derive(p)` returns den * p'; `den` is 1 when every image is a
+    polynomial, and then nothing is scaled.
+    """
+
+    def __init__(self, ring: PolyRing, images: Sequence["MPoly | MRat"]):
         if ring.coeff != "ratfunc":
             raise ValueError("derivations are defined over Q(x) coefficients")
         if len(images) != ring.nvars:
             raise ValueError("one image per variable required")
+        images = [img.num if isinstance(img, MRat) and img.is_poly() else img for img in images]
+        den = ring.one()
+        for img in images:
+            if isinstance(img, MRat) and den.exact_div(img.den) is None:
+                den = img.den if img.den.exact_div(den) is not None else den * img.den
         self.ring = ring
-        self.images = list(images)
+        self.den = den
+        self._scaled = any(isinstance(img, MRat) for img in images)
+        if self._scaled:
+            images = [img * den if isinstance(img, MPoly) else img.num * den.exact_div(img.den)
+                      for img in images]
+        self.images = images
+
+    def scaled(self, p: MPoly) -> MPoly:
+        """den * p."""
+        return p * self.den if self._scaled else p
 
     def derive(self, p: MPoly) -> MPoly:
         ring = self.ring
-        out = ring.zero()
+        out = self.scaled(MPoly(ring, {m: dc for m, c in p.terms.items() if (dc := c.derive())}))
         for m, c in p.terms.items():
-            dc = c.derive()
-            if dc:
-                out = out + MPoly(ring, {m: dc})
             for i, e in enumerate(m):
                 if e and self.images[i].terms:
                     lowered = tuple(x - 1 if k == i else x for k, x in enumerate(m))
@@ -612,16 +612,19 @@ class MRat:
         return MRat(self.den, self.num)
 
     def derive(self, d: Derivation) -> "MRat":
-        if self.den.is_constant():
-            c = self.den.constant_coeff()
-            dn = d.derive(self.num)
+        """Quotient rule; `d.derive` returns d.den times the derivative."""
+        num, den = self.num, self.den
+        dn = d.derive(num)
+        if den.is_constant():
+            c = den.constant_coeff()
             dc = c.derive()
-            if not dc:
-                return MRat(dn, self.den)
-            return MRat(dn.scale(c) - self.num.scale(dc), self.den * self.den.ring.const(c))
-        dn = d.derive(self.num)
-        dd = d.derive(self.den)
-        return MRat(dn * self.den - self.num * dd, self.den * self.den)
+            if dc:
+                dn = dn.scale(c) - d.scaled(num).scale(dc)
+                den = den * den.ring.const(c)
+        else:
+            dn = dn * den - num * d.derive(den)
+            den = den * den
+        return MRat(dn, d.scaled(den))
 
     def __str__(self) -> str:
         if self.is_poly():

@@ -14,6 +14,10 @@ from typing import Callable, Mapping
 
 from .errors import ParseError
 
+# Open parentheses plus pending unary signs; deeper input is a ParseError
+# rather than a RecursionError.
+MAX_NESTING = 100
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^|\*|/|\+|-|\(|\)))")
 
 
@@ -42,6 +46,16 @@ class _Parser:
         self.pos = 0
         self.atoms = atoms
         self.const = const
+        self.depth = 0
+
+    def nest(self, parse):
+        """Run `parse` one nesting level deeper."""
+        if self.depth >= MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        v = parse()
+        self.depth -= 1
+        return v
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -98,10 +112,10 @@ class _Parser:
         kind, val = self.peek()
         if kind == "op" and val == "-":
             self.take()
-            return -self.factor()
+            return -self.nest(self.factor)
         if kind == "op" and val == "+":
             self.take()
-            return self.factor()
+            return self.nest(self.factor)
         return self.power()
 
     def power(self):
@@ -125,7 +139,7 @@ class _Parser:
             except KeyError:
                 raise ParseError(f"unknown name {val!r}") from None
         if kind == "op" and val == "(":
-            v = self.expr()
+            v = self.nest(self.expr)
             self.expect_op(")")
             return v
         raise ParseError(f"unexpected token {val!r}")
@@ -133,6 +147,8 @@ class _Parser:
 
 def parse_expr(text: str, atoms: Mapping[str, object], const: Callable[[int], object]):
     """Parse `text` over the given atom environment."""
+    if not isinstance(text, str):
+        raise ParseError(f"expected an expression string, got {text!r}")
     tokens = tokenize(text)
     if not tokens:
         raise ParseError("empty expression")

@@ -468,6 +468,10 @@ class RatFunc:
         # Henrici: with both operands reduced, only input-sized gcds are needed.
         n1, d1 = self.num, self.den
         n2, d2 = other.num, other.den
+        if n2.is_zero():
+            return self
+        if n1.is_zero():
+            return other
         if d1.degree == 0 and d2.degree == 0:
             s = n1 + n2
             return RatFunc._raw(s, UPoly.one()) if not s.is_zero() else RatFunc._raw(UPoly.zero(), UPoly.one())

@@ -210,6 +210,21 @@ class TestVerify:
         assert code == 1
         assert rep["outputs"]["annihilated"] == [False]
 
+    def test_operator_on_fraction_image_tower(self, capsys, tmp_path):
+        # M = log(L) and N = log(t + M) have fraction derivatives
+        tower = tmp_path / "tower.json"
+        tower.write_text(json.dumps({
+            "generators": [{"name": "L", "kind": "log", "arg": "x"},
+                           {"name": "M", "kind": "log", "arg": "L"},
+                           {"name": "t", "kind": "integral", "arg": "M/L"},
+                           {"name": "N", "kind": "log", "arg": "t + M"}],
+            "solutions": ["L", "1", "3*L - 2", "M", "N"],
+        }))
+        code, rep = run_json(capsys, "verify", "--operator", "D*x*D",
+                             "--tower", str(tower))
+        assert code == 1
+        assert rep["outputs"]["annihilated"] == [True, True, True, False, False]
+
     def test_matrix_mode(self, capsys, tmp_path):
         tower = tmp_path / "tower.json"
         tower.write_text(json.dumps({
@@ -267,6 +282,73 @@ class TestVerify:
                              "--tower", str(tower_file))
         assert code == 0
         assert rep["outputs"]["rows_satisfy_T_prime_eq_AT"] == [True, True, True]
+
+
+class TestJsonShape:
+    """JSON files of the wrong shape are input errors (exit 2), not tracebacks."""
+
+    def run_exit_2(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def construct(self, capsys, tmp_path, spec, config=None):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        argv = ["construct", "--spec", str(spec_path)]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv = ["--config", str(cfg)] + argv
+        self.run_exit_2(capsys, argv)
+
+    def verify(self, capsys, tmp_path, tower):
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps(tower))
+        self.run_exit_2(capsys, ["verify", "--operator", "D", "--tower", str(path)])
+
+    def test_config_holding_a_number(self, capsys, tmp_path):
+        self.construct(capsys, tmp_path, GOLDEN_SPEC, config=5)
+
+    def test_config_holding_a_list(self, capsys, tmp_path):
+        self.construct(capsys, tmp_path, GOLDEN_SPEC, config=[])
+
+    def test_spec_holding_a_number(self, capsys, tmp_path):
+        self.construct(capsys, tmp_path, 5)
+
+    def test_lie_basis_entry_not_a_matrix(self, capsys, tmp_path):
+        self.construct(capsys, tmp_path, {"n": 3, "lie_basis": [5]})
+
+    def test_ideal_not_a_list(self, capsys, tmp_path):
+        self.construct(capsys, tmp_path, {"n": 3, "ideal": 5})
+
+    def test_ideal_entry_not_a_string(self, capsys, tmp_path):
+        self.construct(capsys, tmp_path, {"n": 3, "ideal": [5]})
+
+    def test_l_not_an_integer(self, capsys, tmp_path):
+        self.construct(capsys, tmp_path, dict(GOLDEN_SPEC, l="2"))
+
+    def test_tower_holding_a_number(self, capsys, tmp_path):
+        self.verify(capsys, tmp_path, 5)
+
+    def test_generator_not_an_object(self, capsys, tmp_path):
+        self.verify(capsys, tmp_path, {"generators": [5], "solutions": ["1"]})
+
+    def test_solutions_not_a_list(self, capsys, tmp_path):
+        self.verify(capsys, tmp_path, {"solutions": 5})
+
+
+class TestParserNesting:
+    def test_deep_parentheses_exit_2(self, capsys):
+        expr = "(" * 5000 + "x" + ")" * 5000
+        assert main(["integrate", "--field", "rational", "--expr", expr, "--depth", "1"]) == 2
+        assert "nested deeper" in capsys.readouterr().err
+
+    def test_many_unary_signs_exit_2(self, capsys):
+        expr = "x*" + "-" * 5000 + "x"
+        assert main(["integrate", "--field", "rational", "--expr", expr, "--depth", "1"]) == 2
+        assert "nested deeper" in capsys.readouterr().err
 
 
 class TestConfigAndSelftest:

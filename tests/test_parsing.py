@@ -46,3 +46,21 @@ def test_print_parse_roundtrip(rng):
     for _ in range(300):
         f = rand_ratfunc(rng, 6)
         assert parse_ratfunc(str(f)) == f
+
+
+def test_nesting_bound():
+    from diffgal.parsing import MAX_NESTING
+
+    assert MAX_NESTING >= 100
+    assert parse_ratfunc("(" * 50 + "x + 1" + ")" * 50) == X + 1
+    assert parse_ratfunc("x*" + "-" * 50 + "x") == X**2
+    assert parse_ratfunc("(-" * 25 + "x" + ")" * 25) == -X
+    for deep in ("(" * 5000 + "x" + ")" * 5000, "x*" + "-" * 5000 + "x",
+                 "(-" * 2500 + "x" + ")" * 2500):
+        with pytest.raises(ParseError):
+            parse_ratfunc(deep)
+
+
+def test_non_string_input_is_parse_error():
+    with pytest.raises(ParseError):
+        parse_ratfunc(5)

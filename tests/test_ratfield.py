@@ -75,6 +75,19 @@ class TestDerive:
             assert derive(f) == quotient_rule_oracle(f)
 
 
+class TestAddZero:
+    def test_zero_is_neutral(self, rng):
+        zero = RatFunc.zero()
+        for _ in range(50):
+            f = rand_ratfunc(rng, 4, nonzero=True) / (X**2 + 3)
+            assert not f.is_polynomial()
+            assert zero + f == f
+            assert f + zero == f
+            assert 0 + f == f
+            assert f + 0 == f
+            assert f - zero == f
+
+
 class TestCanonicalForm:
     def test_monic_denominator(self):
         f = RatFunc(UPoly((1,)), UPoly((0, 2)))  # 1/(2x)

@@ -77,6 +77,58 @@ class TestDerive:
         assert (e.derive() - t / ((t + 1) * (t + 1))).is_zero()
 
 
+def log_log_tower():
+    """L = log x, M = log L, t = Int M/L, N = log(t + M): the images of M, t
+    and N are fractions in the generators."""
+    tw = Tower()
+    L = tw.add_log("L", X)
+    M = tw.add_log("M", L)
+    t = tw.add_integral("t", M / L)
+    N = tw.add_log("N", t + M)
+    return tw, L, M, t, N
+
+
+class TestFractionImages:
+    def test_generator_images(self):
+        tw, L, M, t, N = log_log_tower()
+        x = tw.x()
+        assert L.derive() == 1 / x
+        assert M.derive() == 1 / (x * L)
+        assert t.derive() == M / L
+        assert N.derive() == (x * M + 1) / (x * L * (t + M))
+
+    def test_second_derivative(self):
+        tw, L, M, t, N = log_log_tower()
+        x = tw.x()
+        assert M.derive_n(2) == -(L + 1) / (x * x * L * L)
+
+    def test_quotient_rule_with_generator_denominator(self):
+        tw, L, M, t, N = log_log_tower()
+        x = tw.x()
+        e = M * M + L / M
+        assert e.derive() == 2 * M / (x * L) + (M - 1) / (x * M * M)
+
+    def test_base_coefficients(self):
+        tw, L, M, t, N = log_log_tower()
+        x = tw.x()
+        assert (M / x).derive() == 1 / (x * x * L) - M / (x * x)
+        assert (x * N).derive() == N + (x * M + 1) / (L * (t + M))
+
+    def test_leibniz_random(self, rng):
+        tw, L, M, t, N = log_log_tower()
+        gens = [tw.x(), L, M, t, N]
+        for _ in range(40):
+            a = gens[rng.randrange(5)] * rand_ratfunc(rng, 1) + rand_ratfunc(rng, 1)
+            b = gens[rng.randrange(5)] * rand_ratfunc(rng, 1) + rand_ratfunc(rng, 1)
+            assert ((a * b).derive() - (a.derive() * b + a * b.derive())).is_zero()
+
+    def test_apply_operator(self):
+        tw, L, M, t, N = log_log_tower()
+        op = SkewOp.D() * SkewOp.const(X) * SkewOp.D()  # kills 1 and L, not M
+        assert apply_operator(op, L).is_zero()
+        assert apply_operator(op, M) == -1 / (tw.x() * L * L)
+
+
 class TestRadicalReduction:
     def test_relation(self):
         tw = Tower()
@@ -190,9 +242,13 @@ class TestNestedSolutions:
             n = rng.randint(1, 4)
             fs = monicize([rand_small_entry(rng) for _ in range(n - 1)])
             f_next = rand_small_entry(rng)
-            vs = nested_solutions(fs, f_next)  # internal check raises on failure
+            vs = nested_solutions(fs, f_next)
             assert len(vs) == n
-            assert build_Lf(fs).order == n
+            op = build_Lf(fs)
+            assert op.order == n
+            full = op * SkewOp.const(f_next)
+            for v in vs:
+                assert apply_operator(full, v).is_zero()
 
 
 def tw_expr_one_over_x(tw):

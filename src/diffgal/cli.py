@@ -44,6 +44,13 @@ def _expect(value, kind: type, what: str):
     return value
 
 
+def _field(data: dict, key: str, owner: str):
+    """`data[key]`, or a ParseError naming the missing field and its owner."""
+    if key not in data:
+        raise ParseError(f"{owner} has no {key!r}")
+    return data[key]
+
+
 def _load_json(path: str, what: str) -> dict:
     """The JSON object held by the file at `path`."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -115,9 +122,7 @@ def _emit_text(report: dict, prefix: str = "") -> None:
 
 
 def _parse_group_spec(data: dict) -> inverse.GroupSpec:
-    if "n" not in data:
-        raise ParseError("spec is missing the field 'n'")
-    n = data["n"]
+    n = _field(data, "n", "the spec")
     if not isinstance(n, int) or n < 2:
         raise ParseError("'n' must be an integer >= 2")
     ring = inverse.z_ring(n, coeff="rational")
@@ -294,18 +299,19 @@ def cmd_integrate(args, cfg: Config) -> int:
 def _load_tower(path: str) -> tuple[Tower, dict]:
     data = _load_json(path, "the tower file")
     tower = Tower()
-    for decl in _expect(data.get("generators", []), list, "'generators'"):
-        decl = _expect(decl, dict, "a generator")
-        kind = decl["kind"]
-        name = _expect(decl["name"], str, "a generator name")
+    for i, decl in enumerate(_expect(data.get("generators", []), list, "'generators'"), 1):
+        owner = f"generator {i}"
+        decl = _expect(decl, dict, owner)
+        kind = _field(decl, "kind", owner)
+        name = _expect(_field(decl, "name", owner), str, f"name of {owner}")
         if kind == "log":
-            tower.add_log(name, tower.parse(decl["arg"]))
+            tower.add_log(name, tower.parse(_field(decl, "arg", owner)))
         elif kind == "exp":
-            tower.add_exp(name, tower.parse(decl["arg"]))
+            tower.add_exp(name, tower.parse(_field(decl, "arg", owner)))
         elif kind == "radical":
-            tower.add_radical(name, int(decl["root"]))
+            tower.add_radical(name, _expect(_field(decl, "root", owner), int, f"root of {owner}"))
         elif kind == "integral":
-            tower.add_integral(name, tower.parse(decl["arg"]))
+            tower.add_integral(name, tower.parse(_field(decl, "arg", owner)))
         else:
             raise ParseError(f"unknown generator kind {kind!r}")
     return tower, data
@@ -334,9 +340,11 @@ def cmd_verify(args, cfg: Config) -> int:
     else:
         mdata = _load_json(args.matrix, "the matrix file")
         a = FMatrix([[parse_ratfunc(e) for e in _expect(row, list, "a matrix row")]
-                     for row in _expect(mdata["matrix"], list, "'matrix'")])
+                     for row in _expect(_field(mdata, "matrix", "the matrix file"), list,
+                                        "'matrix'")])
         t_rows = [[tower.parse(e) for e in _expect(row, list, "a matrix row")]
-                  for row in _expect(data["matrix_T"], list, "'matrix_T'")]
+                  for row in _expect(_field(data, "matrix_T", "the tower file"), list,
+                                     "'matrix_T'")]
         checks = rows_satisfy_T_prime_eq_AT(a, t_rows)
         outputs = {"matrix": _matrix_strings(a), "rows_satisfy_T_prime_eq_AT": checks}
         ok = all(checks)
@@ -467,7 +475,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (ParseError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DiffgalError as exc:

@@ -363,26 +363,16 @@ def gauge_transform(a: FMatrix, b: FMatrix) -> FMatrix:
     """The gauge action B A B^-1 + B' B^-1, as the solution X of X B = C with
     C = B' + B A; neither B^-1 nor a product by it is formed.
 
-    A row of C equal to row k of B gives row e_k of X, the unique solution once
-    B is invertible.  The other rows are solved together by one Gauss-Jordan
-    elimination of [B^T | those rows of C, transposed], which also proves B
-    invertible (SingularGauge otherwise), even when no row is left to solve.
-    For a cyclic-vector B with rows v, v', ..., v^(n-1), only the last row of C
-    is new, so the elimination carries a single augmented column.
+    One Gauss-Jordan elimination of [B^T | C^T] gives X^T, and its pivot count
+    proves B invertible (SingularGauge otherwise).
     """
     n = b._square("gauge transform")
     c = b.derive() + b * a
-    row_index = {row: k for k, row in enumerate(b.rows)}
-    known = [row_index.get(row) for row in c.rows]
-    todo = [i for i, k in enumerate(known) if k is None]
-    augmented = [col + tuple(c.rows[i][j] for i in todo) for j, col in enumerate(zip(*b.rows))]
+    augmented = [bcol + ccol for bcol, ccol in zip(zip(*b.rows), zip(*c.rows))]
     reduced, pivots, _ = gauss_jordan(augmented, n)
     if len(pivots) < n:
         raise SingularGauge("matrix is singular over Q(x)")
-    one, zero = RatFunc.one(), RatFunc.zero()
-    solved = {i: [row[n + m] for row in reduced] for m, i in enumerate(todo)}
-    return FMatrix([solved[i] if k is None else [one if j == k else zero for j in range(n)]
-                    for i, k in enumerate(known)])
+    return FMatrix(list(zip(*(row[n:] for row in reduced))))
 
 
 @dataclass(frozen=True)

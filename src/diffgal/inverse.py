@@ -1,11 +1,11 @@
 """Construction of equations with a prescribed unipotent differential Galois group.
 
 Given a subgroup of U(n) by defining ideal and/or Lie-algebra basis, the
-pipeline builds the strictly upper matrix A_u = sum a_i X_i, gauges it to
-companion form via a cyclic vector, walks the fraction-field recursion for the
-G_i, reduces them modulo the extended ideal to elements f_i of Q(x), and emits
-the shape matrix and the monic scalar operator.  Every checkable consequence
-is recorded in a verification report.
+pipeline builds the strictly upper matrix A_u = sum a_i X_i, picks a cyclic
+vector, walks the fraction-field recursion for the G_i, reduces them modulo
+the extended ideal to elements f_i of Q(x), and emits the shape matrix, the
+monic scalar operator L and the companion matrix read off L.  Every checkable
+consequence is recorded in a verification report.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .diffop import (
     FMatrix,
     SkewOp,
     build_Lf,
-    gauge_transform,
+    companion_of,
     gauss_jordan,
     monicize,
     shape_matrix,
@@ -413,8 +413,8 @@ class PipelineResult:
 
 def run_pipeline(spec: GroupSpec, groebner_budget: int = DEFAULT_BUDGET,
                  cyclic_budget: int = DEFAULT_CYCLIC_BUDGET) -> PipelineResult:
-    """Full construction: A_u, cyclic vector, Wronskian normalization,
-    G recursion, reduction to Q(x), shape matrix and monic operator."""
+    """Full construction: A_u, cyclic vector, Wronskian normalization, G recursion,
+    reduction to Q(x), shape matrix, monic operator L and A_c read off L."""
     spec = spec.resolved(groebner_budget)
     n = spec.n
     au = build_Au(spec)
@@ -424,12 +424,7 @@ def run_pipeline(spec: GroupSpec, groebner_budget: int = DEFAULT_BUDGET,
     deriv = derivation_from_Au(au, ring)
 
     _, b = cyclic_vector(au, cyclic_budget)
-    a_c_matrix = gauge_transform(au, b)
-    companion = CompanionMatrix.from_matrix(a_c_matrix)
     report = VerificationReport()
-    report.companion_shape = companion is not None
-    if companion is None:
-        raise InconsistentSpec("gauge transform did not produce a companion matrix")
 
     # W = B0 B Z is a Wronskian with first row (1, w_2, ..., w_n); that row is
     # the first row of B Z divided by Y1 = B_11.
@@ -448,6 +443,10 @@ def run_pipeline(spec: GroupSpec, groebner_budget: int = DEFAULT_BUDGET,
 
     f_tuple = monicize(f_partial)
     op = build_Lf(f_tuple)
+    # B Z has rows y, y', ..., y^(n-1) with y = Y1 (1, w_2, ..., w_n) and L kills
+    # the w_j, so Y1 L Y1^-1 is the operator of A_c = B A_u B^-1 + B' B^-1.
+    companion = companion_of(SkewOp.const(b[0, 0]) * op * SkewOp.const(y1_inv))
+    report.companion_shape = companion.matrix() * b == b.derive() + b * au
     a_matrix = shape_matrix(f_partial)
 
     report.annihilation_mod_ideal = _check_annihilation(ws, f_partial, deriv, gb)

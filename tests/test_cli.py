@@ -292,6 +292,7 @@ class TestJsonShape:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+        return captured.err
 
     def construct(self, capsys, tmp_path, spec, config=None):
         spec_path = tmp_path / "spec.json"
@@ -306,7 +307,14 @@ class TestJsonShape:
     def verify(self, capsys, tmp_path, tower):
         path = tmp_path / "tower.json"
         path.write_text(json.dumps(tower))
-        self.run_exit_2(capsys, ["verify", "--operator", "D", "--tower", str(path)])
+        return self.run_exit_2(capsys, ["verify", "--operator", "D", "--tower", str(path)])
+
+    def verify_matrix(self, capsys, tmp_path, tower, matrix):
+        tower_path, matrix_path = tmp_path / "tower.json", tmp_path / "matrix.json"
+        tower_path.write_text(json.dumps(tower))
+        matrix_path.write_text(json.dumps(matrix))
+        return self.run_exit_2(capsys, ["verify", "--matrix", str(matrix_path),
+                                        "--tower", str(tower_path)])
 
     def test_config_holding_a_number(self, capsys, tmp_path):
         self.construct(capsys, tmp_path, GOLDEN_SPEC, config=5)
@@ -337,6 +345,48 @@ class TestJsonShape:
 
     def test_solutions_not_a_list(self, capsys, tmp_path):
         self.verify(capsys, tmp_path, {"solutions": 5})
+
+    # A radical root must be a JSON integer; "3" used to be accepted and 2.5 ran as 2.
+    def radical_root(self, capsys, tmp_path, root):
+        tower = {"generators": [{"name": "r", "kind": "radical", "root": root}],
+                 "solutions": ["r"]}
+        assert "root of generator 1 must be an integer" in self.verify(
+            capsys, tmp_path, tower)
+
+    def test_radical_root_float(self, capsys, tmp_path):
+        self.radical_root(capsys, tmp_path, 2.5)
+
+    def test_radical_root_string(self, capsys, tmp_path):
+        self.radical_root(capsys, tmp_path, "3")
+
+    def test_radical_root_bool(self, capsys, tmp_path):
+        self.radical_root(capsys, tmp_path, True)
+
+    # A missing field is named together with its owner.
+    def missing_generator_field(self, capsys, tmp_path, decl, field):
+        tower = {"generators": [{"name": "L", "kind": "log", "arg": "x"}, decl],
+                 "solutions": ["1"]}
+        assert f"generator 2 has no '{field}'" in self.verify(capsys, tmp_path, tower)
+
+    def test_generator_without_name(self, capsys, tmp_path):
+        self.missing_generator_field(capsys, tmp_path, {"kind": "log", "arg": "L"}, "name")
+
+    def test_generator_without_kind(self, capsys, tmp_path):
+        self.missing_generator_field(capsys, tmp_path, {"name": "M", "arg": "L"}, "kind")
+
+    def test_generator_without_arg(self, capsys, tmp_path):
+        self.missing_generator_field(capsys, tmp_path, {"name": "M", "kind": "exp"}, "arg")
+
+    def test_generator_without_root(self, capsys, tmp_path):
+        self.missing_generator_field(capsys, tmp_path, {"name": "r", "kind": "radical"}, "root")
+
+    def test_tower_without_matrix_T(self, capsys, tmp_path):
+        err = self.verify_matrix(capsys, tmp_path, {"generators": []}, {"matrix": [["0"]]})
+        assert "the tower file has no 'matrix_T'" in err
+
+    def test_matrix_file_without_matrix(self, capsys, tmp_path):
+        err = self.verify_matrix(capsys, tmp_path, {"matrix_T": [["1"]]}, {"A": [["0"]]})
+        assert "the matrix file has no 'matrix'" in err
 
 
 class TestParserNesting:

@@ -1,13 +1,16 @@
-"""gauge_transform against the textbook formula B A B^-1 + B' B^-1, which is
-computed here only, as the reference."""
+"""gauge_transform, and the pipeline's companion matrix A_c, against the
+textbook formula B A B^-1 + B' B^-1, which is computed here only, as the
+reference; and the companion_shape facet A_c B = B' + B A_u."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import rand_small_entry
-from diffgal.diffop import CompanionMatrix, FMatrix, gauge_transform
+from diffgal import cli, inverse
+from diffgal.diffop import CompanionMatrix, FMatrix, SkewOp, build_Lf, gauge_transform
 from diffgal.errors import SingularGauge
 from diffgal.inverse import GroupSpec, build_Au, cyclic_vector, run_pipeline
 from diffgal.ratfield import RatFunc
@@ -130,3 +133,47 @@ def test_pipeline_green_without_full_inverse(monkeypatch):
     for spec in (full_spec(rng, 4), GroupSpec(n=4, ideal_gens=[]),
                  GroupSpec(n=4, lie_basis=one_parameter_spec(rng, 4).lie_basis)):
         assert run_pipeline(spec).certificate.all_green()
+
+
+def krylov(a: FMatrix, v) -> FMatrix:
+    """Rows v, v' + v A, ...: the coordinates of v, dv, ... as cyclic_vector builds them."""
+    rows = [FMatrix([v])]
+    for _ in range(a.nrows - 1):
+        rows.append(rows[-1].derive() + rows[-1] * a)
+    return FMatrix([r.rows[0] for r in rows])
+
+
+def test_spurious_term_in_L_fails_companion_shape(monkeypatch):
+    spec = full_spec(random.Random(4), 4)
+    honest = run_pipeline(spec).certificate.as_dict()
+    monkeypatch.setattr(inverse, "build_Lf", lambda fs: build_Lf(fs) + SkewOp.D())
+    faulty = run_pipeline(spec).certificate.as_dict()
+    assert honest["companion_shape"] and not faulty["companion_shape"]
+    assert dict(faulty, companion_shape=True) == honest
+
+
+def test_spurious_term_in_L_exits_1(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"n": 4, "ideal": []}))
+    monkeypatch.setattr(inverse, "build_Lf", lambda fs: build_Lf(fs) + SkewOp.D())
+    assert cli.main(["construct", "--spec", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["certificate"]["companion_shape"] is False
+
+
+def forced_vectors(n):
+    one, zero = RatFunc.one(), RatFunc.zero()
+    return [(X, one) + (zero,) * (n - 2), (X**2, zero, X) + (zero,) * (n - 3)]
+
+
+@pytest.mark.parametrize("n,one_parameter", [(3, False), (4, False), (5, False), (4, True)])
+def test_companion_from_L_with_forced_cyclic_vector(monkeypatch, n, one_parameter):
+    rng = random.Random(n)
+    spec = one_parameter_spec(rng, n) if one_parameter else full_spec(rng, n)
+    for v in forced_vectors(spec.n):
+        b = krylov(build_Au(spec), v)
+        assert not b.det().is_zero() and b[0, 0] == v[0]
+        monkeypatch.setattr(inverse, "cyclic_vector", lambda au, budget, v=v: (v, krylov(au, v)))
+        res = run_pipeline(spec)
+        assert res.B == b
+        assert res.A_c.matrix() == reference(res.A_u, res.B)
+        assert res.certificate.all_green()

@@ -37,9 +37,9 @@ from .mpoly import (
     MRat,
     PolyRing,
     buchberger,
-    eliminate,
     is_groebner,
     nilpotent_exp,
+    nilpotent_log,
     normal_form,
 )
 from .diffop import (
@@ -68,7 +68,6 @@ from .inverse import (
     GroupSpec,
     PipelineResult,
     VerificationReport,
-    b0_matrix,
     build_Au,
     cyclic_vector,
     default_a_choices,
@@ -104,12 +103,12 @@ __all__ = [
     "ZeroPolynomial", "RatFunc", "SimplePoleObstruction", "UPoly",
     "antiderivative_in_field", "derive", "derive_n", "hermite_reduce",
     "squarefree_part", "Derivation", "MPoly", "MRat", "PolyRing", "buchberger",
-    "eliminate", "is_groebner", "nilpotent_exp", "normal_form", "CompanionMatrix",
+    "is_groebner", "nilpotent_exp", "nilpotent_log", "normal_form", "CompanionMatrix",
     "FMatrix", "SkewOp", "build_Lf", "companion_of", "factor_recursion",
     "gauge_transform", "monicize", "operator_of", "shape_matrix", "Generator", "Tower",
     "TowerExpr", "annihilator_of_iterated_integral", "apply_operator", "fundamental_T",
     "laurent_normal", "nested_solutions", "GroupSpec", "PipelineResult",
-    "VerificationReport", "b0_matrix", "build_Au", "cyclic_vector", "default_a_choices",
+    "VerificationReport", "build_Au", "cyclic_vector", "default_a_choices",
     "g_recursion", "ideal_from_lie", "lie_from_ideal", "reduce_to_F", "run_pipeline",
     "z_ring", "IntegrabilityVerdict", "LiouvilleForm", "classify_exp", "classify_log",
     "classify_radical", "elementary_n_witness", "infinity_integrable_in_Cx",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -304,6 +305,11 @@ def _load_tower(path: str) -> tuple[Tower, dict]:
         decl = _expect(decl, dict, owner)
         kind = _field(decl, "kind", owner)
         name = _expect(_field(decl, "name", owner), str, f"name of {owner}")
+        if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", name):
+            raise ParseError(f"name of {owner} must be an identifier, got {name!r}")
+        if name in ("x", "D") or re.fullmatch(r"Z_\d+_\d+", name) or name in tower.ring.names:
+            raise ParseError(f"name of {owner} clashes with x, D, a Z_i_j or an "
+                             f"earlier generator: {name!r}")
         if kind == "log":
             tower.add_log(name, tower.parse(_field(decl, "arg", owner)))
         elif kind == "exp":

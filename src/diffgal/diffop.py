@@ -394,19 +394,6 @@ class CompanionMatrix:
             rows[n - 1][j] = -self.coeffs[j]
         return FMatrix(rows)
 
-    @classmethod
-    def from_matrix(cls, m: FMatrix) -> "CompanionMatrix | None":
-        n = m.nrows
-        if n != m.ncols or n == 0:
-            return None
-        one, zero = RatFunc.one(), RatFunc.zero()
-        for i in range(n - 1):
-            for j in range(n):
-                want = one if j == i + 1 else zero
-                if m[i, j] != want:
-                    return None
-        return cls(tuple(-m[n - 1, j] for j in range(n)))
-
 
 def companion_of(op: SkewOp, n: int | None = None) -> CompanionMatrix:
     """Companion matrix of a monic operator."""

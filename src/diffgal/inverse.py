@@ -27,7 +27,6 @@ from .diffop import (
 from .errors import (
     BadSpec,
     DegenerateRecursion,
-    InconsistentSpec,
     NoCyclicVectorFound,
     NotReducedToBase,
     ZeroDenominator,
@@ -39,8 +38,7 @@ from .mpoly import (
     MRat,
     PolyRing,
     buchberger,
-    eliminate,
-    nilpotent_exp,
+    nilpotent_log,
     normal_form,
     DEFAULT_BUDGET,
 )
@@ -52,13 +50,23 @@ DEFAULT_CYCLIC_BUDGET = 200
 QMatrix = tuple[tuple[Fraction, ...], ...]
 
 
+def _cells(n: int) -> list[tuple[int, int]]:
+    """The strictly upper positions (i, j), 0-based, by height j - i descending,
+    then by row."""
+    return [(i, i + h) for h in range(n - 1, 0, -1) for i in range(n - h)]
+
+
 def zvar_names(n: int) -> tuple[str, ...]:
-    return tuple(f"Z_{i}_{j}" for i in range(1, n + 1) for j in range(i + 1, n + 1))
+    return tuple(f"Z_{i + 1}_{j + 1}" for i, j in _cells(n))
 
 
-def z_ring(n: int, coeff: str = "ratfunc", order: str = "degrevlex") -> PolyRing:
-    """The coordinate ring F[Z_i_j | 1 <= i < j <= n]."""
-    return PolyRing(zvar_names(n), coeff=coeff, order=order)
+def z_ring(n: int, coeff: str = "ratfunc") -> PolyRing:
+    """The coordinate ring F[Z_i_j | 1 <= i < j <= n], lex in `zvar_names` order.
+
+    Each entry (log Z)_ij is Z_i_j plus a polynomial in variables of lower
+    height, so in this order its leading monomial is Z_i_j.
+    """
+    return PolyRing(zvar_names(n), coeff=coeff, order="lex")
 
 
 def _q_matrix(rows: Sequence[Sequence]) -> QMatrix:
@@ -111,12 +119,12 @@ class GroupSpec:
             if not _independent(self.lie_basis, self.n):
                 raise BadSpec("Lie basis elements are linearly dependent")
 
-    def resolved(self, budget: int = DEFAULT_BUDGET) -> "GroupSpec":
+    def resolved(self) -> "GroupSpec":
         """Fill in whichever of ideal/Lie basis is missing."""
         ideal = self.ideal_gens
         basis = self.lie_basis
         if ideal is None:
-            ideal = ideal_from_lie(basis, self.n, budget)
+            ideal = ideal_from_lie(basis, self.n)
         if basis is None:
             basis = lie_from_ideal(ideal, self.n)
         if self.l is None:
@@ -142,12 +150,17 @@ def _flat(m: QMatrix, n: int) -> list[Fraction]:
     return [m[i][j] for i in range(n) for j in range(i + 1, n)]
 
 
-def _bracket(a: QMatrix, b: QMatrix, n: int) -> QMatrix:
-    def mul(p, q):
-        return [[sum(p[i][k] * q[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-
-    ab, ba = mul(a, b), mul(b, a)
-    return tuple(tuple(ab[i][j] - ba[i][j] for j in range(n)) for i in range(n))
+def _bracket(a: QMatrix, b: QMatrix, n: int) -> list[Fraction]:
+    """[a, b] = ab - ba, flattened; the products run over nonzero entries only."""
+    out: dict[tuple[int, int], Fraction] = {}
+    for p, q, sign in ((a, b, 1), (b, a, -1)):
+        for i, row in enumerate(p):
+            for k, e in enumerate(row):
+                if e:
+                    for j, f in enumerate(q[k]):
+                        if f:
+                            out[i, j] = out.get((i, j), 0) + sign * e * f
+    return [out.get((i, j), Fraction(0)) for i in range(n) for j in range(i + 1, n)]
 
 
 def abelianization_prefix(basis: Sequence[QMatrix], n: int) -> tuple[list[QMatrix], int]:
@@ -155,26 +168,29 @@ def abelianization_prefix(basis: Sequence[QMatrix], n: int) -> tuple[list[QMatri
     the abelianization, and return (reordered basis, l).
 
     The commutator subalgebra is spanned by the pairwise brackets of any
-    spanning set, so independence modulo it is a rank computation.
+    spanning set.  One Gauss-Jordan puts them in echelon form; each basis
+    element in turn is reduced against that echelon, and it is kept, and
+    joins the echelon, when something is left.
     """
     basis = [_q_matrix(m) for m in basis]
-    comm = []
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            br = _bracket(basis[i], basis[j], n)
-            if any(any(e for e in row) for row in br):
-                comm.append(_flat(br, n))
+    comm = [br for i, a in enumerate(basis) for b in basis[i + 1:]
+            if any(br := _bracket(a, b, n))]
+    width = n * (n - 1) // 2
+    reduced, pivots, _ = gauss_jordan(comm, width)
+    echelon = list(zip(pivots, reduced))
     chosen: list[QMatrix] = []
     rest: list[QMatrix] = []
-    picked_rows: list[list[Fraction]] = []
-    base_rank = _rank(comm) if comm else 0
     for mat in basis:
-        trial = comm + picked_rows + [_flat(mat, n)]
-        if _rank(trial) > base_rank + len(picked_rows):
-            chosen.append(mat)
-            picked_rows.append(_flat(mat, n))
-        else:
+        v = _flat(mat, n)
+        for c, row in echelon:
+            if v[c]:
+                v = [e - v[c] * r for e, r in zip(v, row)]
+        c = next((k for k, e in enumerate(v) if e), None)
+        if c is None:
             rest.append(mat)
+        else:
+            chosen.append(mat)
+            echelon.append((c, [e / v[c] for e in v]))
     if not chosen:
         raise BadSpec("Lie algebra equals its commutator subalgebra; not unipotent data")
     return chosen + rest, len(chosen)
@@ -302,30 +318,6 @@ def cyclic_vector(au: FMatrix, budget: int = DEFAULT_CYCLIC_BUDGET
     raise NoCyclicVectorFound(f"no cyclic vector among {tried} candidates")
 
 
-def b0_matrix(y1: RatFunc, n: int) -> FMatrix:
-    """Lower-triangular matrix with (i,j) entry C(i-1,j-1) (1/Y1)^(i-j);
-    carries Wr(Y1, ...) to Wr(1, Y2/Y1, ...)."""
-    y1 = RatFunc.coerce(y1)
-    if y1.is_zero():
-        raise ZeroEntry("Y1 must be nonzero")
-    inv = RatFunc.one() / y1
-    derivs = [inv]
-    for _ in range(n - 1):
-        derivs.append(derivs[-1].derive())
-    from math import comb
-
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            if j > i:
-                row.append(RatFunc.zero())
-            else:
-                row.append(derivs[i - j] * comb(i - 1, j - 1))
-        rows.append(row)
-    return FMatrix(rows)
-
-
 def g_recursion(ws: Sequence[MRat], deriv: Derivation) -> list[MRat]:
     """The fraction-field recursion G_n = 1/w_2', G_{n-1} = 1/(G_n w_3')', ...
 
@@ -415,12 +407,15 @@ def run_pipeline(spec: GroupSpec, groebner_budget: int = DEFAULT_BUDGET,
                  cyclic_budget: int = DEFAULT_CYCLIC_BUDGET) -> PipelineResult:
     """Full construction: A_u, cyclic vector, Wronskian normalization, G recursion,
     reduction to Q(x), shape matrix, monic operator L and A_c read off L."""
-    spec = spec.resolved(groebner_budget)
+    derived = spec.ideal_gens is None  # then ideal_from_lie gives the reduced basis
+    spec = spec.resolved()
     n = spec.n
     au = build_Au(spec)
 
     ring = z_ring(n)
-    gb = buchberger(_ground(spec.ideal_gens, ring), ring, groebner_budget)
+    gb = _ground(spec.ideal_gens, ring)
+    if not derived:
+        gb = buchberger(gb, ring, groebner_budget)
     deriv = derivation_from_Au(au, ring)
 
     _, b = cyclic_vector(au, cyclic_budget)
@@ -512,51 +507,46 @@ def _check_fundamental(a_matrix: FMatrix, f_partial: Sequence[RatFunc]) -> bool:
     return all(rows_satisfy_T_prime_eq_AT(a_matrix, fundamental_T(f_partial)))
 
 
-def ideal_from_lie(lie_basis: Sequence[QMatrix], n: int,
-                   budget: int = DEFAULT_BUDGET) -> list[MPoly]:
-    """Vanishing ideal of exp(span X_1..X_m) via elimination.
+def ideal_from_lie(lie_basis: Sequence[QMatrix], n: int) -> list[MPoly]:
+    """Reduced Groebner basis of the vanishing ideal of exp(span X_1..X_m).
 
-    Works in Q[x_1..x_m, Z_i_j]: relate Z to the entries of
-    exp(x_1 X_1 + ... + x_m X_m) and eliminate the parameters.
+    In characteristic 0, log: U(n) -> u(n) is a polynomial isomorphism, so
+    exp(g) is cut out by l(log Z) for l in the annihilator of g.  With the
+    l in reduced echelon form in the `z_ring` order these generators have
+    distinct single-variable leading monomials, which are pairwise coprime:
+    they are a Groebner basis already, and interreduction (lowest leading
+    variable first) makes it the reduced one without any S-polynomial.
     """
     basis = [_q_matrix(m) for m in lie_basis]
     for m in basis:
         _check_strictly_upper(m, n, "Lie basis element")
-    mcount = len(basis)
-    params = tuple(f"x_{t + 1}" for t in range(mcount))
-    ring = PolyRing(params + zvar_names(n), coeff="rational", order="lex")
-    xs = [ring.var(p) for p in params]
-    xsum = [[ring.zero() for _ in range(n)] for _ in range(n)]
-    for t, mat in enumerate(basis):
-        for i in range(n):
-            for j in range(i + 1, n):
-                if mat[i][j]:
-                    xsum[i][j] = xsum[i][j] + xs[t].scale(mat[i][j])
-    expm = nilpotent_exp(xsum)
-    rels = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            rels.append(ring.var(f"Z_{i + 1}_{j + 1}") - expm[i][j])
-    out = eliminate(rels, params, budget)
-    target = z_ring(n, coeff="rational")
-    return _reground_rational(out, target)
-
-
-def _reground_rational(gens: Sequence[MPoly], ring: PolyRing) -> list[MPoly]:
-    out = []
-    for g in gens:
-        if g.ring.names != ring.names:
-            raise InconsistentSpec("unexpected variables after elimination")
-        out.append(MPoly(ring, dict(g.terms)))
-    return out
+    cells = _cells(n)
+    annihilator = _nullspace([[m[i][j] for i, j in cells] for m in basis], len(cells))
+    if not annihilator:
+        return []
+    ring = z_ring(n, coeff="rational")
+    log_z = nilpotent_log(generic_point(ring, n))
+    coords = [log_z[i][j] for i, j in cells]
+    gens: list[MPoly] = []
+    for ell in reversed(gauss_jordan(annihilator, len(cells))[0]):
+        g = ring.zero()
+        for e, coord in zip(ell, coords):
+            if e:
+                g = g + coord.scale(e)
+        gens.append(normal_form(g, gens))
+    return gens[::-1]
 
 
 def lie_from_ideal(ideal_gens: Sequence[MPoly], n: int) -> list[QMatrix]:
     """Tangent space at the identity: solve the linearized generators.
 
     The identity is Z = 0 in these coordinates; generators must vanish there.
+    The basis comes out in row-major coordinates, whatever the ring order.
     """
     names = zvar_names(n)
+    cells = _cells(n)
+    row_major = sorted(cells)
+    col = [row_major.index(c) for c in cells]
     m = len(names)
     rows = []
     for g in ideal_gens:
@@ -569,7 +559,7 @@ def lie_from_ideal(ideal_gens: Sequence[MPoly], n: int) -> list[QMatrix]:
         nontrivial = False
         for mono, c in g.terms.items():
             if sum(mono) == 1:
-                row[mono.index(1)] = Fraction(c)
+                row[col[mono.index(1)]] = Fraction(c)
                 nontrivial = True
         if nontrivial:
             rows.append(row)
@@ -577,9 +567,8 @@ def lie_from_ideal(ideal_gens: Sequence[MPoly], n: int) -> list[QMatrix]:
     out = []
     for vec in basis_vecs:
         mat = [[Fraction(0)] * n for _ in range(n)]
-        for idx, name in enumerate(names):
-            _, i, j = name.split("_")
-            mat[int(i) - 1][int(j) - 1] = vec[idx]
+        for (i, j), e in zip(row_major, vec):
+            mat[i][j] = e
         out.append(tuple(tuple(r) for r in mat))
     return out
 
@@ -600,8 +589,8 @@ def _nullspace(rows: list[list[Fraction]], m: int) -> list[list[Fraction]]:
 
 def lie_ideal_roundtrip_consistent(spec: GroupSpec, budget: int = DEFAULT_BUDGET) -> bool:
     """Check ideal_from_lie and lie_from_ideal agree on a resolved spec."""
-    spec = spec.resolved(budget)
-    ideal2 = ideal_from_lie(spec.lie_basis, spec.n, budget)
+    spec = spec.resolved()
+    ideal2 = ideal_from_lie(spec.lie_basis, spec.n)
     ring = z_ring(spec.n, coeff="rational")
     gb1 = buchberger(spec.ideal_gens, ring, budget)
     gb2 = buchberger(ideal2, ring, budget)

@@ -1,4 +1,4 @@
-"""Multivariate polynomials over Q or Q(x): Buchberger, normal forms, elimination.
+"""Multivariate polynomials over Q or Q(x): Buchberger, normal forms, derivations.
 
 Polynomials are exponent-vector -> coefficient maps tied to a `PolyRing` that
 fixes the variable list, the coefficient field and the monomial order.  Both
@@ -9,6 +9,7 @@ code paths; Buchberger's algorithm therefore runs verbatim over Q(x).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetExceeded, NotNilpotent, ZeroDenominator
@@ -405,30 +406,6 @@ def is_groebner(basis: Sequence[MPoly]) -> bool:
     return True
 
 
-def eliminate(gens: Sequence[MPoly], elim_names: Sequence[str],
-              budget: int = DEFAULT_BUDGET) -> list[MPoly]:
-    """Generators of the elimination ideal in the retained variables.
-
-    Internally uses pure lex with the eliminated variables ranked first.
-    """
-    if not gens:
-        return []
-    ring = gens[0].ring
-    elim = [n for n in ring.names if n in set(elim_names)]
-    keep = [n for n in ring.names if n not in set(elim_names)]
-    work = PolyRing(tuple(elim) + tuple(keep), coeff=ring.coeff, order="lex")
-    perm = [ring.names.index(n) for n in work.names]
-    lifted = [MPoly(work, {tuple(m[i] for i in perm): c for m, c in g.terms.items()}) for g in gens]
-    gb = buchberger(lifted, work, budget)
-    ne = len(elim)
-    out_ring = PolyRing(tuple(keep), coeff=ring.coeff, order=ring.order)
-    out = []
-    for g in gb:
-        if all(all(e == 0 for e in m[:ne]) for m in g.terms):
-            out.append(MPoly(out_ring, {m[ne:]: c for m, c in g.terms.items()}))
-    return out
-
-
 class Derivation:
     """Derivation on a `PolyRing` over Q(x): coefficient rule plus images of
     the variables, extended by Leibniz.
@@ -473,6 +450,25 @@ class Derivation:
 
 def nilpotent_exp(x_mat: Sequence[Sequence[MPoly]]) -> list[list[MPoly]]:
     """Exact exponential of a strictly upper-triangular matrix of polynomials."""
+    out = _nilpotent_series(x_mat, lambda k: Fraction(1, factorial(k)))
+    for i, row in enumerate(out):
+        row[i] = row[i] + 1
+    return out
+
+
+def nilpotent_log(u_mat: Sequence[Sequence[MPoly]]) -> list[list[MPoly]]:
+    """Exact logarithm of a unipotent upper-triangular matrix of polynomials.
+
+    With N = U - 1 strictly upper, log U = sum_k (-1)^(k+1) N^k / k stops at
+    N^(n-1), so log is a polynomial inverse of `nilpotent_exp`.
+    """
+    n_mat = [[e - 1 if i == j else e for j, e in enumerate(row)] for i, row in enumerate(u_mat)]
+    return _nilpotent_series(n_mat, lambda k: Fraction((-1) ** (k + 1), k))
+
+
+def _nilpotent_series(x_mat: Sequence[Sequence[MPoly]], coeff: Callable[[int], Fraction]
+                      ) -> list[list[MPoly]]:
+    """sum_{k >= 1} coeff(k) X^k for a strictly upper-triangular X, where X^n = 0."""
     n = len(x_mat)
     ring = None
     for row in x_mat:
@@ -485,18 +481,16 @@ def nilpotent_exp(x_mat: Sequence[Sequence[MPoly]]) -> list[list[MPoly]]:
         for j in range(i + 1):
             if not x_mat[i][j].is_zero():
                 raise NotNilpotent(f"entry ({i + 1},{j + 1}) must be zero")
-    ident = [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)]
-    out = [row[:] for row in ident]
-    power = [row[:] for row in ident]
-    fact = 1
+    out = [[ring.zero() for _ in range(n)] for _ in range(n)]
+    power = x_mat
     for k in range(1, n):
-        power = _mat_mul(power, x_mat, ring)
-        fact *= k
-        inv = Fraction(1, fact)
+        if k > 1:
+            power = _mat_mul(power, x_mat, ring)
+        c = coeff(k)
         for i in range(n):
             for j in range(n):
                 if power[i][j].terms:
-                    out[i][j] = out[i][j] + power[i][j].scale(inv)
+                    out[i][j] = out[i][j] + power[i][j].scale(c)
     return out
 
 

@@ -18,6 +18,10 @@ from .errors import ParseError
 # rather than a RecursionError.
 MAX_NESTING = 100
 
+# Bound on exponent * degree of the base at each `^`, with degrees read off the
+# syntax; `(x+1)^2000000` is a ParseError rather than a hang.
+MAX_POWER_DEGREE = 1000
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^|\*|/|\+|-|\(|\)))")
 
 
@@ -41,6 +45,9 @@ def tokenize(text: str) -> list[tuple[str, str]]:
 
 
 class _Parser:
+    """Each rule returns (value, (a, b)), where a and b bound the degrees of a
+    numerator and a denominator of the value in its atoms."""
+
     def __init__(self, tokens, atoms: Mapping[str, object], const: Callable[[int], object]):
         self.tokens = tokens
         self.pos = 0
@@ -71,7 +78,7 @@ class _Parser:
             raise ParseError(f"expected {op!r}, found {val!r}")
 
     def parse(self):
-        v = self.expr()
+        v, _ = self.expr()
         if self.pos != len(self.tokens):
             raise ParseError(f"trailing input near {self.peek()[1]!r}")
         return v
@@ -82,60 +89,66 @@ class _Parser:
         if kind == "op" and val in "+-":
             self.take()
             negate = val == "-"
-        v = self.term()
+        v, (a, b) = self.term()
         if negate:
             v = -v
         while True:
             kind, val = self.peek()
             if kind == "op" and val in "+-":
                 self.take()
-                rhs = self.term()
+                rhs, (c, d) = self.term()
                 v = v + rhs if val == "+" else v - rhs
+                a, b = max(a + d, c + b), b + d
             else:
-                return v
+                return v, (a, b)
 
     def term(self):
-        v = self.factor()
+        v, (a, b) = self.factor()
         while True:
             kind, val = self.peek()
             if kind == "op" and val in "*/":
                 self.take()
-                rhs = self.factor()
+                rhs, (c, d) = self.factor()
                 try:
                     v = v * rhs if val == "*" else v / rhs
                 except ZeroDivisionError as exc:
                     raise ParseError(str(exc)) from exc
+                a, b = (a + c, b + d) if val == "*" else (a + d, b + c)
             else:
-                return v
+                return v, (a, b)
 
     def factor(self):
         kind, val = self.peek()
         if kind == "op" and val == "-":
             self.take()
-            return -self.nest(self.factor)
+            v, deg = self.nest(self.factor)
+            return -v, deg
         if kind == "op" and val == "+":
             self.take()
             return self.nest(self.factor)
         return self.power()
 
     def power(self):
-        base = self.atom()
+        base, (a, b) = self.atom()
         kind, val = self.peek()
         if kind == "op" and val == "^":
             self.take()
             kind, val = self.take()
             if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer")
-            return base ** int(val)
-        return base
+            e = int(val)
+            if e * max(a, b, 1) > MAX_POWER_DEGREE:
+                raise ParseError(f"power of degree above {MAX_POWER_DEGREE}")
+            return base ** e, (e * a, e * b)
+        return base, (a, b)
 
     def atom(self):
         kind, val = self.take()
         if kind == "int":
-            return self.const(int(val))
+            return self.const(int(val)), (0, 0)
         if kind == "name":
             try:
-                return self.atoms[val]
+                return self.atoms[val], (1, 0)
             except KeyError:
                 raise ParseError(f"unknown name {val!r}") from None
         if kind == "op" and val == "(":

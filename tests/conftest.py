@@ -39,3 +39,11 @@ def rand_small_entry(rng):
     den = rand_upoly(rng, 2, lo=-5, hi=5, nonzero=True) if kind == 2 else UPoly.one()
     f = RatFunc(num, den)
     return f if not f.is_zero() else RatFunc.one()
+
+
+def is_companion(m):
+    """Superdiagonal ones above an arbitrary last row, and zeros elsewhere."""
+    from diffgal.diffop import CompanionMatrix
+
+    n = m.nrows
+    return m.ncols == n and CompanionMatrix(tuple(-m[n - 1, j] for j in range(n))).matrix() == m

@@ -1,6 +1,7 @@
 """CLI: commands, exit codes, JSON reports, round trips, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -380,6 +381,23 @@ class TestJsonShape:
     def test_generator_without_root(self, capsys, tmp_path):
         self.missing_generator_field(capsys, tmp_path, {"name": "r", "kind": "radical"}, "root")
 
+    # Generator names must parse back as atoms and clash with nothing.
+    def generator_name(self, capsys, tmp_path, names):
+        tower = {"generators": [{"name": name, "kind": "log", "arg": "x + 2"} for name in names],
+                 "solutions": ["1"]}
+        return self.verify(capsys, tmp_path, tower)
+
+    @pytest.mark.parametrize("name", ["", "1", "a b", "t+1"])
+    def test_generator_name_not_an_identifier(self, capsys, tmp_path, name):
+        assert "must be an identifier" in self.generator_name(capsys, tmp_path, [name])
+
+    @pytest.mark.parametrize("name", ["x", "D", "Z_1_2"])
+    def test_generator_name_reserved(self, capsys, tmp_path, name):
+        assert "clashes" in self.generator_name(capsys, tmp_path, [name])
+
+    def test_generator_name_repeated(self, capsys, tmp_path):
+        assert "clashes" in self.generator_name(capsys, tmp_path, ["L", "M", "L"])
+
     def test_tower_without_matrix_T(self, capsys, tmp_path):
         err = self.verify_matrix(capsys, tmp_path, {"generators": []}, {"matrix": [["0"]]})
         assert "the tower file has no 'matrix_T'" in err
@@ -399,6 +417,13 @@ class TestParserNesting:
         expr = "x*" + "-" * 5000 + "x"
         assert main(["integrate", "--field", "rational", "--expr", expr, "--depth", "1"]) == 2
         assert "nested deeper" in capsys.readouterr().err
+
+    def test_huge_power_exit_2_fast(self, capsys):
+        started = time.monotonic()
+        assert main(["integrate", "--field", "rational", "--expr", "(x+1)^2000000",
+                     "--depth", "1"]) == 2
+        assert "power of degree above" in capsys.readouterr().err
+        assert time.monotonic() - started < 1
 
 
 class TestConfigAndSelftest:

@@ -1,11 +1,13 @@
 """Inverse-problem pipeline: A_u, cyclic vectors, G recursion, reduction, report."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from diffgal.diffop import CompanionMatrix, FMatrix, SkewOp, gauge_transform
+from conftest import is_companion
+from diffgal.diffop import FMatrix, SkewOp, gauge_transform
 from diffgal.errors import (
     BadSpec,
     NoCyclicVectorFound,
@@ -16,7 +18,6 @@ from diffgal.inverse import (
     GroupSpec,
     a_choices_independent,
     abelianization_prefix,
-    b0_matrix,
     build_Au,
     cyclic_vector,
     default_a_choices,
@@ -30,7 +31,8 @@ from diffgal.inverse import (
     run_pipeline,
     z_ring,
 )
-from diffgal.mpoly import MRat, buchberger
+import diffgal.mpoly as mpoly
+from diffgal.mpoly import MRat, buchberger, is_groebner
 from diffgal.ratfield import RatFunc, hermite_reduce
 
 X = RatFunc.x()
@@ -128,37 +130,12 @@ class TestCyclicVector:
             au = FMatrix(rows)
             v, b = cyclic_vector(au)
             ac = gauge_transform(au, b)
-            assert CompanionMatrix.from_matrix(ac) is not None
+            assert is_companion(ac)
 
     def test_budget_failure(self):
         au = FMatrix([[0, 1 / X], [0, 0]])
         with pytest.raises(NoCyclicVectorFound):
             cyclic_vector(au, budget=0)
-
-
-class TestB0Matrix:
-    def test_identity_when_y1_is_one(self):
-        assert b0_matrix(RatFunc.one(), 3) == FMatrix.identity(3)
-
-    def test_golden_x(self):
-        b0 = b0_matrix(X, 2)
-        assert b0 == FMatrix([[1 / X, 0], [-1 / X**2, 1 / X]])
-
-    def test_first_row(self):
-        b0 = b0_matrix(X**2 + 1, 4)
-        assert b0[0, 0] == 1 / (X**2 + 1)
-        for j in range(1, 4):
-            assert b0[0, j].is_zero()
-
-    def test_binomial_structure(self):
-        b0 = b0_matrix(X, 4)
-        inv = 1 / X
-        assert b0[2, 1] == 2 * inv.derive()
-        assert b0[3, 2] == 3 * inv.derive()
-
-    def test_zero_rejected(self):
-        with pytest.raises(ZeroEntry):
-            b0_matrix(RatFunc.zero(), 2)
 
 
 class TestGRecursion:
@@ -338,3 +315,151 @@ class TestAbelianizationPrefix:
     def test_abelian_keeps_all(self):
         basis, l = abelianization_prefix([E(3, 1, 2), E(3, 1, 3)], 3)
         assert l == 2
+
+
+def _mul(a, b):
+    n = len(a)
+    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def _seeded_upper(rng, n):
+    return [[Fraction(rng.choice((-2, -1, 1, 2))) if j == i + 1
+             else Fraction(rng.randint(-3, 3)) if j > i else Fraction(0)
+             for j in range(n)] for i in range(n)]
+
+
+def _seeded_subalgebra(rng, n, dim):
+    """span(N) for a seeded strictly upper N, or the abelian span(N, N^2 + c E_1n)."""
+    x = _seeded_upper(rng, n)
+    if dim == 1:
+        return [x]
+    sq = _mul(x, x)
+    sq[0][n - 1] += rng.randint(1, 3)
+    return [x, sq]
+
+
+def _conjugated(rng, basis, n):
+    """P X P^-1 for a seeded unipotent P: the same Lie algebra, densely written."""
+    nil = _seeded_upper(rng, n)
+    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    p = [[ident[i][j] + nil[i][j] for j in range(n)] for i in range(n)]
+    p_inv, power = [row[:] for row in ident], ident
+    for k in range(1, n):
+        power = _mul(power, nil)
+        p_inv = [[e + (-1) ** k * f for e, f in zip(r, q)] for r, q in zip(p_inv, power)]
+    return [_mul(_mul(p, m), p_inv) for m in basis]
+
+
+def _mixed(rng, basis):
+    """b_j + sum_{k<j} c_jk b_k: the same span, in a basis not adapted to [g, g]."""
+    out = []
+    for j, b in enumerate(basis):
+        cs = [rng.randint(-2, 2) for _ in range(j)]
+        out.append([[e + sum(c * basis[k][r][col] for k, c in enumerate(cs))
+                     for col, e in enumerate(row)] for r, row in enumerate(b)])
+    return out
+
+
+def _sympy_exp_ideal(sp, basis, n):
+    """Reduced lex basis of the elimination ideal of Z = exp(sum t_k X_k), by sympy."""
+    ts = sp.symbols(f"t1:{len(basis) + 1}")
+    zs = sp.symbols(z_ring(n).names)
+    m = sp.zeros(n)
+    for t, b in zip(ts, basis):
+        m += t * sp.Matrix(n, n, [sp.Rational(e.numerator, e.denominator) for r in b for e in r])
+    expm, term = sp.eye(n), sp.eye(n)
+    for k in range(1, n):
+        term = term * m / k
+        expm += term
+    zm = {str(z): z for z in zs}
+    rels = [zm[f"Z_{i + 1}_{j + 1}"] - sp.expand(expm[i, j])
+            for i in range(n) for j in range(i + 1, n)]
+    gb = sp.groebner(rels, *ts, *zs, order="lex")
+    return [g for g in gb.exprs if not g.free_symbols & set(ts)], zm
+
+
+class TestLogMapIdeal:
+    @pytest.mark.parametrize("n,dim", [(n, d) for n in (4, 5, 6) for d in (1, 2)])
+    def test_matches_sympy_elimination(self, n, dim):
+        sp = pytest.importorskip("sympy")
+        basis = _seeded_subalgebra(random.Random(f"{n}/{dim}"), n, dim)
+        gens = ideal_from_lie(basis, n)
+        want, zm = _sympy_exp_ideal(sp, basis, n)
+        assert [sp.expand(sp.sympify(str(g).replace("^", "**"), locals=zm))
+                for g in gens] == want
+
+    def test_single_variable_leading_monomials(self):
+        gens = ideal_from_lie(_seeded_subalgebra(random.Random(9), 6, 1), 6)
+        ring = z_ring(6, coeff="rational")
+        assert [sum(g.lm()) for g in gens] == [1] * 14
+        assert sorted((g.lm() for g in gens), key=ring.key, reverse=True) == [g.lm() for g in gens]
+        assert is_groebner(gens)
+
+    def test_ring_orders_variables_by_height(self):
+        assert z_ring(4).names == ("Z_1_4", "Z_1_3", "Z_2_4", "Z_1_2", "Z_2_3", "Z_3_4")
+
+    def test_lie_from_ideal_emits_row_major(self):
+        ring = z_ring(4, coeff="rational")
+        basis = lie_from_ideal([ring.var("Z_1_2") - ring.var("Z_3_4"), ring.var("Z_2_3")], 4)
+        e12_plus_e34 = tuple(tuple(a + b for a, b in zip(r, q))
+                             for r, q in zip(E(4, 1, 2), E(4, 3, 4)))
+        assert basis == [E(4, 1, 3), E(4, 1, 4), E(4, 2, 4), e12_plus_e34]
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_lie_only_pipeline_forms_no_s_polynomial(self, monkeypatch, n):
+        def no_spoly(f, g):
+            raise AssertionError("S-polynomial formed")
+
+        monkeypatch.setattr(mpoly, "spoly", no_spoly)
+        basis = _seeded_subalgebra(random.Random(n), n, 1)
+        res = run_pipeline(GroupSpec(n=n, lie_basis=basis))
+        assert res.certificate.all_green()
+        assert all(sum(g.lm()) == 1 for g in res.groebner_basis)
+
+
+def _abelianization_reference(sp, basis, n):
+    """Greedy choice of the elements independent modulo [g, g], by sympy ranks."""
+    mats = [sp.Matrix(n, n, [sp.Rational(e.numerator, e.denominator) for r in m for e in r])
+            for m in basis]
+
+    def flat(m):
+        return [m[i, j] for i in range(n) for j in range(i + 1, n)]
+
+    comm = {tuple(flat(a * b - b * a)) for i, a in enumerate(mats) for b in mats[i + 1:]}
+    rows = [list(r) for r in comm if any(r)]
+    rows = [r for r in sp.Matrix(rows).rref()[0].tolist() if any(r)] if rows else []
+    chosen, rest = [], []
+    for k, m in enumerate(mats):
+        if sp.Matrix(rows + [flat(m)]).rank() > len(rows):
+            chosen.append(k)
+            rows.append(flat(m))
+        else:
+            rest.append(k)
+    return chosen + rest, len(chosen)
+
+
+class TestAbelianizationAgainstSympy:
+    def check(self, basis, n):
+        sp = pytest.importorskip("sympy")
+        basis = [tuple(tuple(Fraction(e) for e in row) for row in m) for m in basis]
+        order, l = _abelianization_reference(sp, basis, n)
+        assert abelianization_prefix(basis, n) == ([basis[k] for k in order], l)
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_full_un_shuffled(self, n):
+        basis = [E(n, i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        random.Random(n).shuffle(basis)
+        self.check(basis, n)
+        assert abelianization_prefix(basis, n)[1] == n - 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_subalgebras(self, seed):
+        rng = random.Random(seed)
+        n = 4 + seed % 2
+        full = [E(n, i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        heisenberg = [E(n, 1, 2), E(n, 2, 3), E(n, 1, 3)]
+        for basis in (_seeded_subalgebra(rng, n, 1), _seeded_subalgebra(rng, n, 2),
+                      _conjugated(rng, full, n), _conjugated(rng, heisenberg, n),
+                      _mixed(rng, full), _mixed(rng, _conjugated(rng, heisenberg, n))):
+            rng.shuffle(basis)
+            self.check(basis, n)

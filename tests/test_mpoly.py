@@ -1,4 +1,4 @@
-"""Groebner engine: Buchberger, normal forms, derivations, elimination, exp."""
+"""Groebner engine: Buchberger, normal forms, derivations, exp and log."""
 
 from fractions import Fraction
 
@@ -12,9 +12,9 @@ from diffgal.mpoly import (
     MRat,
     PolyRing,
     buchberger,
-    eliminate,
     is_groebner,
     nilpotent_exp,
+    nilpotent_log,
     normal_form,
     spoly,
 )
@@ -175,48 +175,6 @@ class TestDerivation:
             assert normal_form(d.derive(g), gb).is_zero()
 
 
-class TestEliminate:
-    def test_substitution_example(self):
-        ring = PolyRing(("x1", "x2", "Z_1_2", "Z_1_3", "Z_2_3"), coeff="rational")
-        x1, x2, z12, z13, z23 = ring.gens()
-        out = eliminate([z12 - x1, z13 - x2, z23], ["x1", "x2"])
-        assert [str(g) for g in out] == ["Z_2_3"]
-
-    def test_eliminate_nothing_gives_reduced_gb(self):
-        ring = PolyRing(("a", "b"), coeff="rational", order="degrevlex")
-        a, b = ring.gens()
-        gens = [a**2 - b, a * b - a]
-        out = eliminate(gens, [])
-        gb = buchberger(gens)
-        assert {str(g) for g in out} == {str(g) for g in gb}
-
-    def test_heisenberg_full_group(self):
-        ring = PolyRing(("x1", "x2", "x3", "Z_1_2", "Z_1_3", "Z_2_3"), coeff="rational")
-        x1, x2, x3, z12, z13, z23 = ring.gens()
-        half = Fraction(1, 2)
-        rels = [z12 - x1, z23 - x2, z13 - x3 - (x1 * x2).scale(half)]
-        assert eliminate(rels, ["x1", "x2", "x3"]) == []
-
-    def test_substitution_oracle(self, rng):
-        # whatever survives elimination must vanish under the parametrization
-        ring = PolyRing(("s", "Z_1_2", "Z_1_3", "Z_2_3"), coeff="rational")
-        s, z12, z13, z23 = ring.gens()
-        rels = [z12 - s, z13 - s, z23 - s**2]
-        out = eliminate(rels, ["s"])
-        assert out  # the image is a proper subvariety
-        zr = PolyRing(("Z_1_2", "Z_1_3", "Z_2_3"), coeff="rational")
-        for g in out:
-            for val in (Fraction(0), Fraction(2), Fraction(-3), Fraction(1, 2)):
-                subs = {"Z_1_2": val, "Z_1_3": val, "Z_2_3": val * val}
-                acc = Fraction(0)
-                for mono, c in g.terms.items():
-                    term = Fraction(c)
-                    for name, e in zip(zr.names, mono):
-                        term *= subs[name] ** e
-                    acc += term
-                assert acc == 0
-
-
 class TestNilpotentExp:
     def test_one_step(self):
         ring = PolyRing(("x1",), coeff="rational")
@@ -259,6 +217,32 @@ class TestNilpotentExp:
                 for k in range(n):
                     acc = acc + a[i][k] * b[k][j]
                 assert acc == (ring.one() if i == j else ring.zero())
+
+
+class TestNilpotentLog:
+    def generic(self, n):
+        names = tuple(f"x{i}{j}" for i in range(n) for j in range(i + 1, n))
+        ring = PolyRing(names, coeff="rational")
+        z = ring.zero()
+        return [[ring.var(f"x{i}{j}") if j > i else z for j in range(n)] for i in range(n)]
+
+    def test_two_step_golden(self):
+        u = nilpotent_exp(self.generic(3))
+        x = self.generic(3)
+        u[0][2] = x[0][2]
+        # log [[1, a, c], [0, 1, b], [0, 0, 1]] has corner c - ab/2
+        assert nilpotent_log(u)[0][2] == x[0][2] - (x[0][1] * x[1][2]).scale(Fraction(1, 2))
+
+    @pytest.mark.parametrize("n", [2, 4, 5])
+    def test_inverts_exp(self, n):
+        x = self.generic(n)
+        assert nilpotent_log(nilpotent_exp(x)) == x
+
+    def test_not_unipotent(self):
+        x = self.generic(2)
+        one = x[0][1].ring.one()
+        with pytest.raises(NotNilpotent):
+            nilpotent_log([[one + one, x[0][1]], [x[1][0], one]])
 
 
 class TestMRat:

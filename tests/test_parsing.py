@@ -61,6 +61,19 @@ def test_nesting_bound():
             parse_ratfunc(deep)
 
 
+def test_power_degree_bound():
+    from diffgal.parsing import MAX_POWER_DEGREE
+
+    bound = MAX_POWER_DEGREE
+    assert parse_ratfunc(f"x^{bound}") == X**bound
+    assert parse_ratfunc(f"(1/(x^2 + 1))^{bound // 2}") == 1 / (X**2 + 1) ** (bound // 2)
+    assert parse_ratfunc(f"2^{bound}") == RatFunc.from_int(2**bound)
+    for big in (f"x^{bound + 1}", f"(x^2 + 1)^{bound // 2 + 1}", f"(x/(x^2 - 1))^{bound // 2 + 1}",
+                f"(x^{bound})^2", "(x+1)^2000000", f"2^{bound + 1}"):
+        with pytest.raises(ParseError):
+            parse_ratfunc(big)
+
+
 def test_non_string_input_is_parse_error():
     with pytest.raises(ParseError):
         parse_ratfunc(5)

@@ -26,7 +26,6 @@ from .ratfield import (
     SimplePoleObstruction,
     UPoly,
     antiderivative_in_field,
-    derive,
     derive_n,
     hermite_reduce,
     squarefree_part,
@@ -101,7 +100,7 @@ __all__ = [
     "NotMonic", "NotNilpotent", "NotPolynomialInTheta", "NotReducedToBase",
     "NotSupported", "ParseError", "SingularGauge", "ZeroDenominator", "ZeroEntry",
     "ZeroPolynomial", "RatFunc", "SimplePoleObstruction", "UPoly",
-    "antiderivative_in_field", "derive", "derive_n", "hermite_reduce",
+    "antiderivative_in_field", "derive_n", "hermite_reduce",
     "squarefree_part", "Derivation", "MPoly", "MRat", "PolyRing", "buchberger",
     "is_groebner", "nilpotent_exp", "nilpotent_log", "normal_form", "CompanionMatrix",
     "FMatrix", "SkewOp", "build_Lf", "companion_of", "factor_recursion",

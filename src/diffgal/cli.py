@@ -385,7 +385,7 @@ def cmd_selftest(args, cfg: Config) -> int:
     )
 
     spec_full = inverse.GroupSpec(
-        n=3, ideal_gens=[], lie_basis=[E(3, 1, 2), E(3, 2, 3)], l=2,
+        n=3, ideal_gens=[], lie_basis=[E(3, 1, 2), E(3, 2, 3), E(3, 1, 3)], l=2,
         a_choices=[1 / (x - 3), 1 / (x - 2)])
     res_full = inverse.run_pipeline(spec_full)
     results["full_u3"] = (

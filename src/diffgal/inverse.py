@@ -27,6 +27,7 @@ from .diffop import (
 from .errors import (
     BadSpec,
     DegenerateRecursion,
+    InconsistentSpec,
     NoCyclicVectorFound,
     NotReducedToBase,
     ZeroDenominator,
@@ -95,8 +96,9 @@ class GroupSpec:
     """A unipotent subgroup of U(n) with the data Algorithm-style pipelines need.
 
     Either `ideal_gens` (over Q in the Z_i_j) or `lie_basis` may be omitted;
-    the missing one is derived.  `l` counts the leading basis elements whose
-    images span the abelianization's Lie algebra; `a_choices` are the nonzero
+    `resolved` derives the Lie basis from the ideal and always takes the ideal
+    from the Lie basis.  `l` counts the leading basis elements whose images
+    span the abelianization's Lie algebra; `a_choices` are the nonzero
     rational functions attached to them (defaults have simple poles at
     1, ..., l).
     """
@@ -119,20 +121,35 @@ class GroupSpec:
             if not _independent(self.lie_basis, self.n):
                 raise BadSpec("Lie basis elements are linearly dependent")
 
-    def resolved(self) -> "GroupSpec":
-        """Fill in whichever of ideal/Lie basis is missing."""
-        ideal = self.ideal_gens
-        basis = self.lie_basis
-        if ideal is None:
-            ideal = ideal_from_lie(basis, self.n)
+    def resolved(self, groebner_budget: int = DEFAULT_BUDGET) -> "GroupSpec":
+        """Check that the data describe one connected unipotent group exp(g)
+        and fill in its Lie basis, its ideal, l and the a_i.
+
+        g is spanned by `lie_basis`, or else by the ideal's tangent space, and
+        must be a subalgebra.  The ideal is always `ideal_from_lie(g)`.  A
+        given ideal must have exactly that reduced Groebner basis over Q;
+        reduced bases are unique, so this proves I = I(exp g).
+        """
+        n, given = self.n, self.ideal_gens
+        qring = z_ring(n, coeff="rational")
+        if given is not None and any(g.ring != qring for g in given):
+            raise BadSpec("ideal generators must be polynomials over Q in the Z_i_j")
+        basis, source = self.lie_basis, "the Lie basis"
         if basis is None:
-            basis = lie_from_ideal(ideal, self.n)
+            basis, source = lie_from_ideal(given, n), "the ideal's tangent space"
+        # all of u(n): a subalgebra with the zero ideal, and no bracket is formed
+        full = len(basis) == n * (n - 1) // 2
+        if not (full or _is_subalgebra(basis, n)):
+            raise BadSpec(f"{source} does not span a subalgebra")
+        ideal = [] if full else ideal_from_lie(basis, n)
+        if given is not None and buchberger(given, qring, groebner_budget) != ideal:
+            raise InconsistentSpec(f"the ideal is not that of exp(g), g spanned by {source}")
         if self.l is None:
-            basis, l = abelianization_prefix(basis, self.n)
+            basis, l = abelianization_prefix(basis, n)
         else:
             l = self.l
         m = len(basis)
-        max_dim = self.n * (self.n - 1) // 2
+        max_dim = n * (n - 1) // 2
         if not 1 <= l <= m <= max_dim:
             raise BadSpec(f"need 1 <= l <= m <= {max_dim}, got l={l}, m={m}")
         a = self.a_choices if self.a_choices is not None else default_a_choices(l)
@@ -142,8 +159,7 @@ class GroupSpec:
         for i, f in enumerate(a):
             if f.is_zero():
                 raise ZeroEntry(f"a_{i + 1} is zero")
-        out = GroupSpec(self.n, list(ideal), list(basis), l, a)
-        return out
+        return GroupSpec(n, ideal, list(basis), l, a)
 
 
 def _flat(m: QMatrix, n: int) -> list[Fraction]:
@@ -161,6 +177,23 @@ def _bracket(a: QMatrix, b: QMatrix, n: int) -> list[Fraction]:
                         if f:
                             out[i, j] = out.get((i, j), 0) + sign * e * f
     return [out.get((i, j), Fraction(0)) for i in range(n) for j in range(i + 1, n)]
+
+
+def _reduce(v: list[Fraction], echelon: list[tuple[int, list[Fraction]]]) -> list[Fraction]:
+    """v minus its components along echelon rows, each given with its pivot
+    column, where it is 1, and 0 at every earlier row's pivot."""
+    for c, row in echelon:
+        if v[c]:
+            v = [e - v[c] * r for e, r in zip(v, row)]
+    return v
+
+
+def _is_subalgebra(basis: Sequence[QMatrix], n: int) -> bool:
+    """Whether every bracket of two basis elements lies in their span."""
+    reduced, pivots, _ = gauss_jordan([_flat(m, n) for m in basis], n * (n - 1) // 2)
+    echelon = list(zip(pivots, reduced))
+    return not any(any(_reduce(_bracket(a, b, n), echelon))
+                   for i, a in enumerate(basis) for b in basis[i + 1:])
 
 
 def abelianization_prefix(basis: Sequence[QMatrix], n: int) -> tuple[list[QMatrix], int]:
@@ -181,10 +214,7 @@ def abelianization_prefix(basis: Sequence[QMatrix], n: int) -> tuple[list[QMatri
     chosen: list[QMatrix] = []
     rest: list[QMatrix] = []
     for mat in basis:
-        v = _flat(mat, n)
-        for c, row in echelon:
-            if v[c]:
-                v = [e - v[c] * r for e, r in zip(v, row)]
+        v = _reduce(_flat(mat, n), echelon)
         c = next((k for k, e in enumerate(v) if e), None)
         if c is None:
             rest.append(mat)
@@ -407,15 +437,12 @@ def run_pipeline(spec: GroupSpec, groebner_budget: int = DEFAULT_BUDGET,
                  cyclic_budget: int = DEFAULT_CYCLIC_BUDGET) -> PipelineResult:
     """Full construction: A_u, cyclic vector, Wronskian normalization, G recursion,
     reduction to Q(x), shape matrix, monic operator L and A_c read off L."""
-    derived = spec.ideal_gens is None  # then ideal_from_lie gives the reduced basis
-    spec = spec.resolved()
+    spec = spec.resolved(groebner_budget)
     n = spec.n
     au = build_Au(spec)
 
     ring = z_ring(n)
-    gb = _ground(spec.ideal_gens, ring)
-    if not derived:
-        gb = buchberger(gb, ring, groebner_budget)
+    gb = [ring.from_terms(g.terms) for g in spec.ideal_gens]  # over Q(x)
     deriv = derivation_from_Au(au, ring)
 
     _, b = cyclic_vector(au, cyclic_budget)
@@ -462,19 +489,6 @@ def run_pipeline(spec: GroupSpec, groebner_budget: int = DEFAULT_BUDGET,
         certificate=report,
         groebner_basis=gb,
     )
-
-
-def _ground(gens: Sequence[MPoly], ring: PolyRing) -> list[MPoly]:
-    """Move ideal generators (over Q or Q(x)) into the pipeline's ring."""
-    out = []
-    for g in gens:
-        if g.ring == ring:
-            out.append(g)
-            continue
-        if g.ring.names != ring.names:
-            raise BadSpec("ideal generators use unexpected variables")
-        out.append(MPoly(ring, {m: ring.scalar(c) for m, c in g.terms.items()}))
-    return out
 
 
 def _row_times_z(b: FMatrix, z: list[list[MPoly]], j: int, ring: PolyRing) -> MPoly:
@@ -585,20 +599,3 @@ def _nullspace(rows: list[list[Fraction]], m: int) -> list[list[Fraction]]:
             vec[pc] = -reduced[ri][fc]
         out.append(vec)
     return out
-
-
-def lie_ideal_roundtrip_consistent(spec: GroupSpec, budget: int = DEFAULT_BUDGET) -> bool:
-    """Check ideal_from_lie and lie_from_ideal agree on a resolved spec."""
-    spec = spec.resolved()
-    ideal2 = ideal_from_lie(spec.lie_basis, spec.n)
-    ring = z_ring(spec.n, coeff="rational")
-    gb1 = buchberger(spec.ideal_gens, ring, budget)
-    gb2 = buchberger(ideal2, ring, budget)
-    if [str(g) for g in gb1] != [str(g) for g in gb2]:
-        return False
-    lie2 = lie_from_ideal(spec.ideal_gens, spec.n)
-    span1 = [_flat(m, spec.n) for m in spec.lie_basis]
-    span2 = [_flat(m, spec.n) for m in lie2]
-    if len(span1) != len(span2):
-        return False
-    return _rank(span1 + span2) == _rank(span1)

@@ -211,6 +211,18 @@ class MPoly:
             return self.ring.zero()
         return MPoly(self.ring, {m: v * c for m, v in self.terms.items()})
 
+    def __truediv__(self, other) -> "MPoly":
+        """Division by a nonzero constant; `MRat` holds true quotients."""
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        if not other.is_constant():
+            raise ArithmeticError("division by a non-constant polynomial")
+        c = other.constant_coeff()
+        if not c:
+            raise ZeroDivisionError("polynomial division by zero")
+        return self.scale(self.ring.cone / c)
+
     def __pow__(self, k: int) -> "MPoly":
         if k < 0:
             raise ValueError("negative power of a polynomial")

@@ -18,8 +18,9 @@ from .errors import ParseError
 # rather than a RecursionError.
 MAX_NESTING = 100
 
-# Bound on exponent * degree of the base at each `^`, with degrees read off the
-# syntax; `(x+1)^2000000` is a ParseError rather than a hang.
+# Bound on the degree of every power, product, quotient and sum, with degrees
+# read off the syntax and checked before the value is computed; `(x+1)^2000000`
+# and a long product of bounded powers are a ParseError rather than a hang.
 MAX_POWER_DEGREE = 1000
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^|\*|/|\+|-|\(|\)))")
@@ -42,6 +43,20 @@ def tokenize(text: str) -> list[tuple[str, str]]:
             tokens.append(("op", m.group(3)))
         pos = m.end()
     return tokens
+
+
+def _bounded(what: str, *degrees: int) -> tuple[int, ...]:
+    """The degrees of a `what`, or a ParseError when one exceeds MAX_POWER_DEGREE."""
+    if max(degrees) > MAX_POWER_DEGREE:
+        raise ParseError(f"{what} of degree above {MAX_POWER_DEGREE}")
+    return degrees
+
+
+def _integer(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError as exc:  # more digits than int() converts
+        raise ParseError(f"integer literal of {len(digits)} digits is too long") from exc
 
 
 class _Parser:
@@ -97,8 +112,8 @@ class _Parser:
             if kind == "op" and val in "+-":
                 self.take()
                 rhs, (c, d) = self.term()
+                a, b = _bounded("sum", max(a + d, c + b), b + d)
                 v = v + rhs if val == "+" else v - rhs
-                a, b = max(a + d, c + b), b + d
             else:
                 return v, (a, b)
 
@@ -109,11 +124,14 @@ class _Parser:
             if kind == "op" and val in "*/":
                 self.take()
                 rhs, (c, d) = self.factor()
+                if val == "*":
+                    a, b = _bounded("product", a + c, b + d)
+                else:
+                    a, b = _bounded("quotient", a + d, b + c)
                 try:
                     v = v * rhs if val == "*" else v / rhs
-                except ZeroDivisionError as exc:
+                except ArithmeticError as exc:  # division by zero or by a non-constant
                     raise ParseError(str(exc)) from exc
-                a, b = (a + c, b + d) if val == "*" else (a + d, b + c)
             else:
                 return v, (a, b)
 
@@ -136,16 +154,15 @@ class _Parser:
             kind, val = self.take()
             if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer")
-            e = int(val)
-            if e * max(a, b, 1) > MAX_POWER_DEGREE:
-                raise ParseError(f"power of degree above {MAX_POWER_DEGREE}")
+            e = _integer(val)
+            _bounded("power", e * max(a, b, 1))
             return base ** e, (e * a, e * b)
         return base, (a, b)
 
     def atom(self):
         kind, val = self.take()
         if kind == "int":
-            return self.const(int(val)), (0, 0)
+            return self.const(_integer(val)), (0, 0)
         if kind == "name":
             try:
                 return self.atoms[val], (1, 0)
@@ -158,13 +175,30 @@ class _Parser:
         raise ParseError(f"unexpected token {val!r}")
 
 
+class _Shape:
+    """The one value of a degree-only pass: its arithmetic costs nothing."""
+
+    def _same(self, *_):
+        return self
+
+    __neg__ = __add__ = __sub__ = __mul__ = __truediv__ = __pow__ = _same
+
+
+_SHAPE = _Shape()
+
+
 def parse_expr(text: str, atoms: Mapping[str, object], const: Callable[[int], object]):
-    """Parse `text` over the given atom environment."""
+    """Parse `text` over the given atom environment.
+
+    A first pass reads only the syntax and the degrees, so input over a bound
+    is rejected before any arithmetic is done.
+    """
     if not isinstance(text, str):
         raise ParseError(f"expected an expression string, got {text!r}")
     tokens = tokenize(text)
     if not tokens:
         raise ParseError("empty expression")
+    _Parser(tokens, dict.fromkeys(atoms, _SHAPE), lambda _: _SHAPE).parse()
     return _Parser(tokens, atoms, const).parse()
 
 

@@ -591,11 +591,6 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
-def derive(f: RatFunc) -> RatFunc:
-    """Derivative of f in Q(x)."""
-    return f.derive()
-
-
 def derive_n(f: RatFunc, n: int) -> RatFunc:
     """n-fold derivative; derive_n(f, 0) = f."""
     if n < 0:

@@ -407,6 +407,44 @@ class TestJsonShape:
         assert "the matrix file has no 'matrix'" in err
 
 
+class TestSpecNotOneGroup:
+    """Ideal and Lie data that do not describe one connected unipotent group
+    are input errors (exit 2) with no report, not red or green certificates."""
+
+    E12 = [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
+    E23 = [[0, 0, 0], [0, 0, 1], [0, 0, 0]]
+
+    def construct_exit_2(self, capsys, tmp_path, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["construct", "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        return captured.err
+
+    def test_ideal_disagrees_with_lie_basis(self, capsys, tmp_path):
+        err = self.construct_exit_2(capsys, tmp_path, {
+            "n": 3, "ideal": ["Z_1_3 - Z_1_2*Z_2_3"], "lie_basis": [self.E12]})
+        assert "spanned by the Lie basis" in err
+
+    def test_ideal_not_radical(self, capsys, tmp_path):
+        err = self.construct_exit_2(capsys, tmp_path, {"n": 3, "ideal": ["Z_1_2^2"]})
+        assert "tangent space" in err
+
+    def test_ideal_of_two_components(self, capsys, tmp_path):
+        err = self.construct_exit_2(capsys, tmp_path, {"n": 3, "ideal": ["Z_2_3*(Z_2_3 - 1)"]})
+        assert "tangent space" in err
+
+    def test_tangent_space_not_a_subalgebra(self, capsys, tmp_path):
+        err = self.construct_exit_2(capsys, tmp_path, {"n": 3, "ideal": ["2*Z_1_3 - Z_1_2*Z_2_3"]})
+        assert "tangent space does not span a subalgebra" in err
+
+    def test_lie_basis_not_a_subalgebra(self, capsys, tmp_path):
+        err = self.construct_exit_2(capsys, tmp_path, {"n": 3, "lie_basis": [self.E12, self.E23]})
+        assert "Lie basis does not span a subalgebra" in err
+
+
 class TestParserNesting:
     def test_deep_parentheses_exit_2(self, capsys):
         expr = "(" * 5000 + "x" + ")" * 5000
@@ -423,6 +461,13 @@ class TestParserNesting:
         assert main(["integrate", "--field", "rational", "--expr", "(x+1)^2000000",
                      "--depth", "1"]) == 2
         assert "power of degree above" in capsys.readouterr().err
+        assert time.monotonic() - started < 1
+
+    def test_long_product_exit_2_fast(self, capsys):
+        started = time.monotonic()
+        assert main(["integrate", "--field", "rational", "--expr", "*".join(["(x+1)^1000"] * 8),
+                     "--depth", "1"]) == 2
+        assert "product of degree above" in capsys.readouterr().err
         assert time.monotonic() - started < 1
 
 

@@ -122,6 +122,48 @@ def test_golden(name):
     assert run_case(name) == (GOLDEN / f"{name}.json").read_text()
 
 
+CONSTRUCT_CASES = sorted(name for name, (argv, _) in CASES.items() if argv[0] == "construct")
+
+
+def test_buchberger_only_checks_given_ideals_over_q(monkeypatch):
+    """The pipeline's basis comes from the log map; Buchberger runs once per
+    given ideal, over Q, to check it against that basis."""
+    import diffgal.inverse as inverse
+    import diffgal.mpoly as mpoly
+
+    real, calls = mpoly.buchberger, []
+
+    def spy(gens, ring=None, budget=mpoly.DEFAULT_BUDGET):
+        calls.append((ring.coeff, {g.ring.coeff for g in gens}))
+        return real(gens, ring, budget)
+
+    monkeypatch.setattr(mpoly, "buchberger", spy)
+    monkeypatch.setattr(inverse, "buchberger", spy)
+    for name in CONSTRUCT_CASES:
+        calls.clear()
+        assert run_case(name) == (GOLDEN / f"{name}.json").read_text()
+        spec = CASES[name][1]["spec.json"]
+        given = spec["ideal"] if "ideal" in spec else None
+        expected = [] if given is None else [("rational", {"rational"} if given else set())]
+        assert calls == expected, name
+
+
+@pytest.mark.parametrize("name", CONSTRUCT_CASES)
+def test_groebner_basis_reparses_as_ideal(name, tmp_path):
+    """Each printed `groebner_basis`, given back as `ideal`, is accepted and
+    printed unchanged."""
+    from diffgal.cli import main
+
+    report = json.loads((GOLDEN / f"{name}.json").read_text())["report"]
+    basis = report["outputs"]["groebner_basis"]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n": report["inputs"]["spec"]["n"], "ideal": basis}))
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert main(["construct", "--spec", str(spec)]) == 0
+    assert json.loads(buf.getvalue())["outputs"]["groebner_basis"] == basis
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for case in sorted(CASES):

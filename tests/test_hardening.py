@@ -9,7 +9,7 @@ from diffgal.cli import _parse_operator
 from diffgal.errors import NotSupported
 from diffgal.diffop import SkewOp
 from diffgal.integrab import elementary_n_witness
-from diffgal.inverse import GroupSpec, lie_ideal_roundtrip_consistent, run_pipeline
+from diffgal.inverse import GroupSpec, ideal_from_lie, run_pipeline
 from diffgal.parsing import parse_ratfunc
 from diffgal.ratfield import RatFunc, UPoly
 from diffgal.tower import Tower
@@ -73,7 +73,10 @@ class TestRandomizedPipeline:
         rng = random.Random(577)
         for _ in range(5):
             spec = _conjugated_abelian_spec(rng, 3)
-            assert lie_ideal_roundtrip_consistent(spec)
+            res = spec.resolved()
+            assert res.ideal_gens == ideal_from_lie(spec.lie_basis, 3)
+            # the derived ideal, given back with its Lie basis, is accepted
+            GroupSpec(n=3, ideal_gens=res.ideal_gens, lie_basis=spec.lie_basis).resolved()
 
 
 class TestWitnessFuzz:

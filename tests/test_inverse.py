@@ -10,6 +10,7 @@ from conftest import is_companion
 from diffgal.diffop import FMatrix, SkewOp, gauge_transform
 from diffgal.errors import (
     BadSpec,
+    InconsistentSpec,
     NoCyclicVectorFound,
     NotReducedToBase,
     ZeroEntry,
@@ -26,11 +27,11 @@ from diffgal.inverse import (
     generic_point,
     ideal_from_lie,
     lie_from_ideal,
-    lie_ideal_roundtrip_consistent,
     reduce_to_F,
     run_pipeline,
     z_ring,
 )
+import diffgal.inverse as inverse
 import diffgal.mpoly as mpoly
 from diffgal.mpoly import MRat, buchberger, is_groebner
 from diffgal.ratfield import RatFunc, hermite_reduce
@@ -295,14 +296,60 @@ class TestLieIdealConversions:
             GroupSpec(n=3, ideal_gens=[ring.var("Z_2_3")], l=2),
             full_un_spec(3),
             GroupSpec(n=4, lie_basis=[E(4, 1, 2), E(4, 3, 4)], l=2),
+            golden_spec(),
         ]
         for spec in specs:
-            assert lie_ideal_roundtrip_consistent(spec)
+            res = spec.resolved()
+            if spec.ideal_gens is not None:  # given as a reduced basis already
+                assert res.ideal_gens == spec.ideal_gens
 
     def test_nonvanishing_generator_rejected(self):
         ring = z_ring(3, coeff="rational")
         with pytest.raises(BadSpec):
             lie_from_ideal([ring.var("Z_2_3") + ring.one()], 3)
+
+
+class TestSpecIsOneGroup:
+    """`resolved` takes the ideal from the log map and accepts a given ideal
+    only when its reduced basis over Q is exactly that one."""
+
+    def test_non_reduced_ideal_accepted_and_replaced(self):
+        ring = z_ring(3, coeff="rational")
+        z12, z23 = ring.var("Z_1_2"), ring.var("Z_2_3")
+        res = GroupSpec(n=3, ideal_gens=[z23, z23 + z12 * z23]).resolved()
+        assert res.ideal_gens == [z23]
+
+    def test_ideal_with_a_second_component_rejected(self):
+        # Z_2_3 (Z_1_3 + 2) has the tangent space of <Z_2_3>, but it also
+        # vanishes on Z_1_3 = -2
+        ring = z_ring(3, coeff="rational")
+        gen = ring.var("Z_2_3") * (ring.var("Z_1_3") + 2)
+        with pytest.raises(InconsistentSpec):
+            GroupSpec(n=3, ideal_gens=[gen]).resolved()
+
+    def test_ideal_disagreeing_with_lie_basis_rejected(self):
+        ring = z_ring(3, coeff="rational")
+        with pytest.raises(InconsistentSpec):
+            GroupSpec(n=3, ideal_gens=[ring.var("Z_2_3")],
+                      lie_basis=[E(3, 1, 2), E(3, 2, 3), E(3, 1, 3)]).resolved()
+
+    def test_non_subalgebra_rejected(self):
+        with pytest.raises(BadSpec, match="subalgebra"):
+            GroupSpec(n=4, lie_basis=[E(4, 1, 2), E(4, 2, 3), E(4, 3, 4)]).resolved()
+
+    def test_ideal_over_q_of_x_rejected(self):
+        with pytest.raises(BadSpec, match="over Q"):
+            GroupSpec(n=3, ideal_gens=[z_ring(3).var("Z_2_3")]).resolved()
+
+    def test_full_basis_forms_no_brackets(self, monkeypatch):
+        def no_bracket(*args):
+            raise AssertionError("bracket formed")
+
+        monkeypatch.setattr(inverse, "_bracket", no_bracket)
+        res = full_un_spec(7).resolved()
+        assert res.ideal_gens == []
+        with pytest.raises(AssertionError, match="bracket formed"):
+            GroupSpec(n=3, lie_basis=[E(3, 1, 2), E(3, 1, 3)], l=2).resolved()
 
 
 class TestAbelianizationPrefix:

@@ -102,6 +102,23 @@ class TestBuchberger:
         assert normal_form(z12.scale(X**2), gb).is_zero()
 
 
+class TestConstantDivision:
+    def test_divides_by_nonzero_constants(self):
+        for coeff, c in (("rational", Fraction(2, 3)), ("ratfunc", X + 1)):
+            ring = z3_ring(coeff)
+            p = ring.var("Z_1_2") * ring.var("Z_2_3") + 1
+            assert (p / ring.const(c)) * ring.const(c) == p
+            assert p / 1 == p
+
+    def test_rejects_zero_and_non_constants(self):
+        ring = z3_ring("rational")
+        p = ring.var("Z_1_3")
+        with pytest.raises(ZeroDivisionError):
+            p / ring.zero()
+        with pytest.raises(ArithmeticError, match="non-constant"):
+            p / ring.var("Z_1_2")
+
+
 class TestNormalForm:
     def test_paper_reduction(self):
         ring = z3_ring("ratfunc")

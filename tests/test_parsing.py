@@ -1,10 +1,12 @@
 """Expression grammar: literals, precedence, errors, round trips."""
 
+from fractions import Fraction
+
 import pytest
 
 from conftest import rand_ratfunc
 from diffgal.errors import ParseError
-from diffgal.parsing import parse_ratfunc
+from diffgal.parsing import parse_expr, parse_ratfunc
 from diffgal.ratfield import RatFunc
 
 X = RatFunc.x()
@@ -72,6 +74,49 @@ def test_power_degree_bound():
                 f"(x^{bound})^2", "(x+1)^2000000", f"2^{bound + 1}"):
         with pytest.raises(ParseError):
             parse_ratfunc(big)
+
+
+def test_every_degree_bounded():
+    from diffgal.parsing import MAX_POWER_DEGREE
+
+    half = MAX_POWER_DEGREE // 2
+    assert parse_ratfunc(f"x^{half}*x^{half}") == X**MAX_POWER_DEGREE
+    assert parse_ratfunc(f"x^{half}/(x+1)^{half}") == X**half / (X + 1) ** half
+    for big in (f"x^{half}*x^{half + 1}", f"x^{half + 1}/(1/(x + 1))^{half}",
+                f"x^{MAX_POWER_DEGREE} + 1/x", f"1/x - x^{MAX_POWER_DEGREE}",
+                "*".join(["(x+1)^1000"] * 8)):
+        with pytest.raises(ParseError, match="degree above"):
+            parse_ratfunc(big)
+
+
+def test_bounds_checked_before_any_arithmetic():
+    class Untouchable:
+        def _fail(self, *_):
+            raise AssertionError("arithmetic on input over a bound")
+
+        __neg__ = __add__ = __sub__ = __mul__ = __truediv__ = __pow__ = _fail
+
+    with pytest.raises(ParseError, match="product of degree above"):
+        parse_expr("x^600*x^600", {"x": Untouchable()}, lambda k: Untouchable())
+
+
+def test_long_integer_literal_is_parse_error():
+    for text in ("1" * 5000, "x^" + "1" * 5000):
+        with pytest.raises(ParseError, match="too long"):
+            parse_ratfunc(text)
+
+
+def test_polynomials_divide_by_nonzero_constants_only():
+    from diffgal.inverse import z_ring
+
+    ring = z_ring(3, coeff="rational")
+    atoms = {name: ring.var(name) for name in ring.names}
+    half = ring.var("Z_1_2") * ring.var("Z_2_3") * Fraction(1, 2)
+    assert parse_expr("Z_1_3 - (1/2)*Z_1_2*Z_2_3", atoms, ring.const) == ring.var("Z_1_3") - half
+    assert parse_expr("Z_1_2*Z_2_3/(3 - 1)", atoms, ring.const) == half
+    for bad in ("Z_1_3/Z_1_2", "Z_1_3/(1 - 1)"):
+        with pytest.raises(ParseError):
+            parse_expr(bad, atoms, ring.const)
 
 
 def test_non_string_input_is_parse_error():

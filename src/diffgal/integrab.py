@@ -22,7 +22,7 @@ from .ratfield import (
     RatFunc,
     SimplePoleObstruction,
     UPoly,
-    _primitive_int,
+    _primitive_int_list,
     antiderivative_in_field,
     derive_n,
     hermite_reduce,
@@ -186,7 +186,7 @@ def _rational_roots(p: UPoly) -> list[Fraction]:
         p = UPoly(p.coeffs[k:])
     if p.degree == 0:
         return roots
-    ints = _primitive_int(p.coeffs)
+    ints = _primitive_int_list(p.ints)
     a0, al = ints[0], ints[-1]
     for num in _divisors(a0):
         for den in _divisors(al):

@@ -21,6 +21,10 @@ MAX_NESTING = 100
 # Bound on the degree of every power, product, quotient and sum, with degrees
 # read off the syntax and checked before the value is computed; `(x+1)^2000000`
 # and a long product of bounded powers are a ParseError rather than a hang.
+# The work of all powers together is bounded by that of one power at this
+# degree: each `^` costs the square of its degree less the square of its
+# base's degree, and the sum of these may not exceed MAX_POWER_DEGREE**2, so
+# a long sum of distinct bounded powers is a ParseError too.
 MAX_POWER_DEGREE = 1000
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^|\*|/|\+|-|\(|\)))")
@@ -69,6 +73,7 @@ class _Parser:
         self.atoms = atoms
         self.const = const
         self.depth = 0
+        self.work = 0
 
     def nest(self, parse):
         """Run `parse` one nesting level deeper."""
@@ -155,7 +160,9 @@ class _Parser:
             if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer")
             e = _integer(val)
-            _bounded("power", e * max(a, b, 1))
+            m = max(a, b, 1)
+            _bounded("power", e * m)
+            self.work += max(e * e - 1, 0) * m * m  # ^0 undoes no work done on its base
             return base ** e, (e * a, e * b)
         return base, (a, b)
 
@@ -190,15 +197,18 @@ _SHAPE = _Shape()
 def parse_expr(text: str, atoms: Mapping[str, object], const: Callable[[int], object]):
     """Parse `text` over the given atom environment.
 
-    A first pass reads only the syntax and the degrees, so input over a bound
-    is rejected before any arithmetic is done.
+    A first pass reads only the syntax, the degrees and the work of the
+    powers, so input over a bound is rejected before any arithmetic is done.
     """
     if not isinstance(text, str):
         raise ParseError(f"expected an expression string, got {text!r}")
     tokens = tokenize(text)
     if not tokens:
         raise ParseError("empty expression")
-    _Parser(tokens, dict.fromkeys(atoms, _SHAPE), lambda _: _SHAPE).parse()
+    shape = _Parser(tokens, dict.fromkeys(atoms, _SHAPE), lambda _: _SHAPE)
+    shape.parse()
+    if shape.work > MAX_POWER_DEGREE**2:
+        raise ParseError(f"powers whose work exceeds one power of degree {MAX_POWER_DEGREE}")
     return _Parser(tokens, atoms, const).parse()
 
 

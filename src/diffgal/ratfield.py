@@ -1,10 +1,13 @@
 """Exact arithmetic in the differential field Q(x) with derivation x' = 1.
 
-Univariate polynomials are dense coefficient tuples over `fractions.Fraction`;
-rational functions are kept in canonical form (monic denominator, coprime
-numerator and denominator) so that equality is structural.  Hermite reduction
-and Yun squarefree decomposition make in-field integrability decidable without
-factoring denominators into irreducibles.
+A univariate polynomial over Q is stored as one tuple of integer coefficients
+over one positive integer denominator, so its arithmetic runs on bare ints
+and builds no `Fraction`; coefficients come back as `Fraction`s only at the
+public boundary (`coeffs`, `lc`, indexing, `eval`).  Rational functions are
+kept in canonical form (monic denominator, coprime numerator and denominator)
+so that equality is structural.  Hermite reduction and Yun squarefree
+decomposition make in-field integrability decidable without factoring
+denominators into irreducibles.
 """
 
 from __future__ import annotations
@@ -28,154 +31,195 @@ def _as_fraction(v) -> Fraction:
     raise TypeError(f"cannot coerce {v!r} into Q")
 
 
-class UPoly:
-    """Dense univariate polynomial over Q, coefficient i multiplying x^i."""
+def _make(ints: list[int], denom: int) -> "UPoly":
+    """The canonical UPoly of ints/denom (denom nonzero)."""
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints:
+        denom = 1
+    else:
+        if denom < 0:
+            ints = [-v for v in ints]
+            denom = -denom
+        g = _igcd(denom, *ints)
+        if g != 1:
+            ints = [v // g for v in ints]
+            denom //= g
+    obj = object.__new__(UPoly)
+    obj.ints = tuple(ints)
+    obj.denom = denom
+    return obj
 
-    __slots__ = ("coeffs",)
+
+def _conv(a, b) -> list[int]:
+    """Product of two nonempty integer coefficient sequences."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                if y:
+                    out[j] += x * y
+    return out
+
+
+class UPoly:
+    """Dense univariate polynomial over Q, coefficient i multiplying x^i.
+
+    Stored as `ints` (a tuple of ints) over `denom` (a positive int): the
+    coefficient of x^i is ints[i] / denom.  The form is canonical: `ints` has
+    no trailing zeros, and gcd(denom, *ints) == 1 (the zero polynomial is
+    `()` over 1).  Equal polynomials have equal fields, so `==` and `hash`
+    are structural.
+    """
+
+    __slots__ = ("ints", "denom")
 
     def __init__(self, coeffs: Iterable[Fraction | int]):
         cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        d = lcm(*(c.denominator for c in cs))
+        p = _make([c.numerator * (d // c.denominator) for c in cs], d)
+        self.ints, self.denom = p.ints, p.denom
 
     @classmethod
     def zero(cls) -> "UPoly":
-        return cls(())
+        return _make([], 1)
 
     @classmethod
     def one(cls) -> "UPoly":
-        return cls((1,))
+        return _make([1], 1)
 
     @classmethod
     def x(cls) -> "UPoly":
-        return cls((0, 1))
+        return _make([0, 1], 1)
 
     @classmethod
     def const(cls, c) -> "UPoly":
-        return cls((c,))
+        c = _as_fraction(c)
+        return _make([c.numerator], c.denominator)
 
     @classmethod
     def monomial(cls, c, k: int) -> "UPoly":
-        return cls((0,) * k + (c,))
+        c = _as_fraction(c)
+        return _make([0] * k + [c.numerator], c.denominator)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        d = self.denom
+        return tuple(Fraction(v, d) for v in self.ints)
 
     @property
     def degree(self) -> int:
         """Degree, with deg 0 = -1."""
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.ints)
 
     @property
     def lc(self) -> Fraction:
-        if not self.coeffs:
+        if not self.ints:
             return _ZERO
-        return self.coeffs[-1]
+        return Fraction(self.ints[-1], self.denom)
 
     def __getitem__(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.ints):
+            return Fraction(self.ints[k], self.denom)
         return _ZERO
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, UPoly):
+            return self.ints == other.ints and self.denom == other.denom
         if isinstance(other, (int, Fraction)):
-            other = UPoly((other,))
-        if not isinstance(other, UPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
+            return (self.ints == ((other.numerator,) if other else ())
+                    and self.denom == other.denominator)
+        return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # A constant hashes as its Fraction value, which it equals.
+        if len(self.ints) <= 1:
+            return hash(self.lc)
+        return hash((self.ints, self.denom))
 
     def __neg__(self) -> "UPoly":
-        return UPoly(tuple(-c for c in self.coeffs))
+        obj = object.__new__(UPoly)
+        obj.ints = tuple(-v for v in self.ints)
+        obj.denom = self.denom
+        return obj
 
     def __add__(self, other) -> "UPoly":
-        if isinstance(other, (int, Fraction)):
-            other = UPoly((other,))
         if not isinstance(other, UPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = UPoly.const(other)
+        a, da = self.ints, self.denom
+        b, db = other.ints, other.denom
+        if not b:
+            return self
+        if not a:
+            return other
+        if da != db:
+            g = _igcd(da, db)
+            sa, sb = db // g, da // g
+            a = [v * sa for v in a]
+            b = [v * sb for v in b]
+            da *= sa
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UPoly(out)
+        for i, v in enumerate(b):
+            out[i] += v
+        return _make(out, da)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "UPoly":
-        return self + (-other if isinstance(other, UPoly) else UPoly((-_as_fraction(other),)))
+        if not isinstance(other, (int, Fraction, UPoly)):
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other) -> "UPoly":
         return (-self) + other
 
     def __mul__(self, other) -> "UPoly":
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return UPoly(tuple(a * c for a in self.coeffs))
-        if not isinstance(other, UPoly):
+        if isinstance(other, UPoly):
+            if not self.ints or not other.ints:
+                return _make([], 1)
+            return _make(_conv(self.ints, other.ints), self.denom * other.denom)
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return UPoly(())
-        # Multiply over a common denominator: raw big-int convolution, one
-        # Fraction normalization per output coefficient.
-        la = 1
-        for c in a:
-            la = lcm(la, c.denominator)
-        lb = 1
-        for c in b:
-            lb = lcm(lb, c.denominator)
-        ia = [int(c * la) for c in a]
-        ib = [int(c * lb) for c in b]
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(ia):
-            if ca:
-                for j, cb in enumerate(ib):
-                    if cb:
-                        out[i + j] += ca * cb
-        d = la * lb
-        return UPoly([Fraction(v, d) for v in out])
+        n = other.numerator
+        return _make([v * n for v in self.ints], self.denom * other.denominator)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "UPoly":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        out = UPoly.one()
-        base = self
+        out = [1]
+        base = self.ints
+        d = self.denom**k
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = _conv(out, base)
             k >>= 1
-        return out
+            if k:
+                base = _conv(base, base)
+        return _make(out, d)
 
     def __divmod__(self, other: "UPoly") -> tuple["UPoly", "UPoly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero() or self.degree < other.degree:
-            return UPoly(()), self
-        # Integer pseudo-division, one rational scaling at the end.
-        la = 1
-        for c in self.coeffs:
-            la = lcm(la, c.denominator)
-        lb = 1
-        for c in other.coeffs:
-            lb = lcm(lb, c.denominator)
-        a = [int(c * la) for c in self.coeffs]
-        b = [int(c * lb) for c in other.coeffs]
-        q, r, k = _int_pdiv(a, b)
-        dk = b[-1] ** k
-        qden = la * dk
-        return (UPoly([Fraction(v * lb, qden) for v in q]),
-                UPoly([Fraction(v, qden) for v in r]))
+        if len(self.ints) < len(other.ints):
+            return _make([], 1), self
+        # lc(B)^k A = q B + r over Z, with self = A/da and other = B/db.
+        b = other.ints
+        q, r, k = _int_pdiv(self.ints, b)
+        den = self.denom * b[-1] ** k
+        db = other.denom
+        return _make([v * db for v in q], den), _make(r, den)
 
     def __floordiv__(self, other: "UPoly") -> "UPoly":
         return divmod(self, other)[0]
@@ -190,17 +234,20 @@ class UPoly:
         return q
 
     def monic(self) -> "UPoly":
-        if self.is_zero() or self.lc == 1:
+        a = self.ints
+        if not a or a[-1] == self.denom:
             return self
-        inv = 1 / self.lc
-        return UPoly(tuple(c * inv for c in self.coeffs))
+        return _make(list(a), a[-1])
 
     def derivative(self) -> "UPoly":
-        return UPoly(tuple(self.coeffs[i] * i for i in range(1, len(self.coeffs))))
+        a = self.ints
+        return _make([i * a[i] for i in range(1, len(a))], self.denom)
 
     def integral(self) -> "UPoly":
         """Antiderivative with zero constant term."""
-        return UPoly((_ZERO,) + tuple(c / (i + 1) for i, c in enumerate(self.coeffs)))
+        a = self.ints
+        m = lcm(*range(1, len(a) + 1))
+        return _make([0] + [v * (m // i) for i, v in enumerate(a, 1)], self.denom * m)
 
     def eval(self, v: Fraction) -> Fraction:
         out = _ZERO
@@ -219,18 +266,17 @@ class UPoly:
             return other.monic()
         if other.is_zero():
             return self.monic()
-        a = _primitive_int(self.coeffs)
-        b = _primitive_int(other.coeffs)
+        a = _primitive_int_list(self.ints)
+        b = _primitive_int_list(other.ints)
         if len(a) < len(b):
             a, b = b, a
-        if len(b) > 1 and _coprime_mod_p(a, b):
-            return UPoly.one()
-        while b:
+        if len(b) == 1 or _coprime_mod_p(a, b):
+            return _make([1], 1)
+        while True:
             r = _int_prem(a, b)
             if not r:
-                return UPoly(b).monic()
+                return _make(b, 1).monic()
             a, b = b, _primitive_int_list(r)
-        return UPoly(a).monic()
 
     def xgcd(self, other: "UPoly") -> tuple["UPoly", "UPoly", "UPoly"]:
         """Extended Euclid: (g, s, t) monic g with s*self + t*other = g."""
@@ -257,20 +303,10 @@ class UPoly:
         return f"UPoly({poly_str(self)})"
 
 
-def _primitive_int(coeffs: tuple[Fraction, ...]) -> list[int]:
-    """Integer, content-free coefficient list of a nonzero polynomial."""
-    denlcm = 1
-    for c in coeffs:
-        denlcm = lcm(denlcm, c.denominator)
-    ints = [int(c * denlcm) for c in coeffs]
-    return _primitive_int_list(ints)
-
-
-def _primitive_int_list(ints: list[int]) -> list[int]:
-    g = 0
-    for v in ints:
-        g = _igcd(g, v)
-    return [v // g for v in ints]
+def _primitive_int_list(ints) -> list[int]:
+    """Content-free coefficient list of nonzero integer coefficients."""
+    g = _igcd(*ints)
+    return [v // g for v in ints] if g != 1 else list(ints)
 
 
 _GCD_PRIME = (1 << 61) - 1
@@ -280,37 +316,33 @@ def _coprime_mod_p(a: list[int], b: list[int], p: int = _GCD_PRIME) -> bool:
     """True only if gcd(a, b) = 1 over Q (one-sided modular certificate)."""
     if a[-1] % p == 0 or b[-1] % p == 0:
         return False
-    am = [v % p for v in a]
-    bm = [v % p for v in b]
+    a = [v % p for v in a]
+    b = [v % p for v in b]
     while True:
-        while bm and bm[-1] == 0:
-            bm.pop()
-        if not bm:
+        if not b:
             return False  # inconclusive or genuinely non-coprime
-        if len(bm) == 1:
+        if len(b) == 1:
             return True
-        db = len(bm) - 1
-        inv = pow(bm[-1], p - 2, p)
-        bm = [(v * inv) % p for v in bm]
-        rm = am[:]
-        while rm and len(rm) - 1 >= db:
-            lead = rm[-1]
-            off = len(rm) - 1 - db
-            rm = rm[:-1]
+        db = len(b) - 1
+        inv = pow(b[-1], -1, p)
+        # a <- a mod b, in place; a and b have no trailing zeros.
+        while len(a) > db:
+            lead = a.pop() * inv % p
             if lead:
+                off = len(a) - db
                 for j in range(db):
-                    rm[off + j] = (rm[off + j] - lead * bm[j]) % p
-            while rm and rm[-1] == 0:
-                rm.pop()
-        am, bm = bm, rm
+                    a[off + j] = (a[off + j] - lead * b[j]) % p
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
 
 
-def _int_pdiv(a: list[int], b: list[int]) -> tuple[list[int], list[int], int]:
+def _int_pdiv(a, b) -> tuple[list[int], list[int], int]:
     """Pseudo-division over Z: lead(b)^k * a = q*b + r with deg r < deg b."""
     db = len(b) - 1
     d = b[-1]
     q = [0] * max(1, len(a) - db)
-    r = a[:]
+    r = list(a)
     k = 0
     while r and len(r) - 1 >= db:
         lead = r[-1]
@@ -373,7 +405,7 @@ class RatFunc:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: UPoly, den: UPoly = UPoly((1,))):
+    def __init__(self, num: UPoly, den: UPoly = UPoly.one()):
         if den.is_zero():
             raise ZeroDenominator("rational function with zero denominator")
         if num.is_zero():
@@ -402,11 +434,11 @@ class RatFunc:
 
     @classmethod
     def from_int(cls, n: int) -> "RatFunc":
-        return cls(UPoly((n,)))
+        return cls(UPoly.const(n))
 
     @classmethod
     def from_fraction(cls, q: Fraction) -> "RatFunc":
-        return cls(UPoly((q,)))
+        return cls(UPoly.const(q))
 
     @classmethod
     def x(cls) -> "RatFunc":
@@ -427,7 +459,7 @@ class RatFunc:
         if isinstance(v, UPoly):
             return RatFunc(v)
         if isinstance(v, (int, Fraction)):
-            return RatFunc(UPoly((v,)))
+            return RatFunc(UPoly.const(v))
         raise TypeError(f"cannot coerce {v!r} into Q(x)")
 
     def is_zero(self) -> bool:
@@ -455,7 +487,10 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num.coeffs, self.den.coeffs))
+        # A polynomial hashes as its UPoly, so a constant hashes as its Fraction.
+        if self.den.degree == 0:
+            return hash(self.num)
+        return hash((self.num, self.den))
 
     def __neg__(self) -> "RatFunc":
         return RatFunc._raw(-self.num, self.den)
@@ -700,7 +735,3 @@ def resultant(f: UPoly, g: UPoly) -> Fraction:
         res *= (-1) ** (a.degree * b.degree) * b.lc ** (a.degree - r.degree)
         a, b = b, r
     return res * b.lc ** a.degree
-
-
-
-

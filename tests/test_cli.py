@@ -470,6 +470,13 @@ class TestParserNesting:
         assert "product of degree above" in capsys.readouterr().err
         assert time.monotonic() - started < 1
 
+    def test_long_sum_of_powers_exit_2_fast(self, capsys):
+        started = time.monotonic()
+        expr = "+".join("(x+%d)^1000" % k for k in range(1, 9))
+        assert main(["integrate", "--field", "rational", "--expr", expr, "--depth", "1"]) == 2
+        assert "work exceeds one power" in capsys.readouterr().err
+        assert time.monotonic() - started < 1
+
 
 class TestConfigAndSelftest:
     def test_selftest_passes(self, capsys):

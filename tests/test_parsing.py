@@ -100,6 +100,31 @@ def test_bounds_checked_before_any_arithmetic():
         parse_expr("x^600*x^600", {"x": Untouchable()}, lambda k: Untouchable())
 
 
+def test_work_of_all_powers_bounded_before_any_arithmetic():
+    class Untouchable:
+        def _fail(self, *_):
+            raise AssertionError("arithmetic on input over a bound")
+
+        __neg__ = __add__ = __sub__ = __mul__ = __truediv__ = __pow__ = _fail
+
+    eight = "+".join("(x+%d)^1000" % k for k in range(1, 9))
+    assert len(eight) == 87
+    for text in (eight, "x^600 + x^900", "(x+1)^1000 - x^2", "((x+1)^1000)^0 + ((x+2)^1000)^0"):
+        with pytest.raises(ParseError, match="work exceeds one power"):
+            parse_expr(text, {"x": Untouchable()}, lambda k: Untouchable())
+
+
+def test_power_work_admits_one_power_at_the_bound():
+    from diffgal.parsing import MAX_POWER_DEGREE
+
+    dense = " + ".join(f"{k}*x^{k}" for k in range(51))
+    assert parse_ratfunc(dense) == sum((k * X**k for k in range(51)), RatFunc.zero())
+    half = MAX_POWER_DEGREE // 2
+    assert parse_ratfunc(f"(x^2)^{half}") == X**MAX_POWER_DEGREE
+    assert parse_ratfunc(f"((x^2 + 1)^{half // 2})^2") == (X**2 + 1) ** half
+    assert parse_ratfunc(f"x^{MAX_POWER_DEGREE} + x^1 + 2^1") == X**MAX_POWER_DEGREE + X + 2
+
+
 def test_long_integer_literal_is_parse_error():
     for text in ("1" * 5000, "x^" + "1" * 5000):
         with pytest.raises(ParseError, match="too long"):

@@ -8,6 +8,7 @@ false, certificate not green), 2 input error, 3 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -324,11 +325,9 @@ def _load_tower(path: str) -> tuple[Tower, dict]:
 
 
 def _parse_operator(text: str) -> SkewOp:
-    atoms = {"x": SkewOp.const(RatFunc.x()), "D": SkewOp.D()}
-    val = parse_expr(text, atoms, lambda k: SkewOp.const(RatFunc.from_int(k)))
-    if not isinstance(val, SkewOp):
-        raise ParseError("expected an operator")
-    return val
+    # Subexpressions free of D stay in Q(x); only those with D use skew products.
+    val = parse_expr(text, {"x": RatFunc.x(), "D": SkewOp.D()}, RatFunc.from_int)
+    return val if isinstance(val, SkewOp) else SkewOp.const(val)
 
 
 def cmd_verify(args, cfg: Config) -> int:
@@ -337,6 +336,8 @@ def cmd_verify(args, cfg: Config) -> int:
     outputs: dict
     if args.operator:
         op = _parse_operator(args.operator)
+        if op.is_zero():
+            raise ParseError("the zero operator annihilates every expression")
         sols = [tower.parse(s) for s in _expect(data.get("solutions", []), list, "'solutions'")]
         if not sols:
             raise ParseError("tower file has no 'solutions'")
@@ -458,8 +459,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing reads it and never changes it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         cfg = Config.load(args.config)

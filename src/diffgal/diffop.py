@@ -135,10 +135,18 @@ class SkewOp:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if other.is_zero():
+            raise ZeroDivisionError("division by the zero operator")
         if other.order != 0:
             raise NotMonic("division is only defined by order-0 operators")
         inv = RatFunc.one() / other.coeffs[0]
         return SkewOp(tuple(c * inv for c in self.coeffs))
+
+    def __rtruediv__(self, other) -> "SkewOp":
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other / self
 
     def __pow__(self, k: int) -> "SkewOp":
         if k < 0:
@@ -302,10 +310,17 @@ class FMatrix:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
-        ot = list(zip(*other.rows))
+        # Products only over nonzero entries: gauge and companion matrices are sparse.
+        zero = RatFunc.zero()
         out = []
         for row in self.rows:
-            out.append([sum((a * b for a, b in zip(row, col)), RatFunc.zero()) for col in ot])
+            acc = [zero] * other.ncols
+            for a, orow in zip(row, other.rows):
+                if a:
+                    for j, b in enumerate(orow):
+                        if b:
+                            acc[j] = acc[j] + a * b
+            out.append(acc)
         return FMatrix(out)
 
     def scale(self, c) -> "FMatrix":

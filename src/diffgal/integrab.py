@@ -191,16 +191,20 @@ def _rational_roots(p: UPoly) -> list[Fraction]:
     for num in _divisors(a0):
         for den in _divisors(al):
             for cand in (Fraction(num, den), Fraction(-num, den)):
-                if cand not in roots and _eval_int(ints, cand) == 0:
+                if cand not in roots and _vanishes_at(ints, cand):
                     roots.append(cand)
     return roots
 
 
-def _eval_int(coeffs: list[int], v: Fraction) -> Fraction:
-    out = Fraction(0)
+def _vanishes_at(coeffs: list[int], v: Fraction) -> bool:
+    """Whether the integer polynomial vanishes at v: den^deg * p(num/den),
+    by Horner on ints alone, is zero."""
+    num, den = v.numerator, v.denominator
+    acc, scale = 0, 1
     for c in reversed(coeffs):
-        out = out * v + c
-    return out
+        acc = acc * num + c * scale
+        scale *= den
+    return acc == 0
 
 
 def _resultant_in_residue(q: UPoly, p: UPoly) -> UPoly:

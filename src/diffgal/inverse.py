@@ -159,7 +159,11 @@ class GroupSpec:
         for i, f in enumerate(a):
             if f.is_zero():
                 raise ZeroEntry(f"a_{i + 1} is zero")
-        return GroupSpec(n, ideal, list(basis), l, a)
+        # The basis passed `__post_init__`'s checks or is a nullspace basis;
+        # checking it again cannot fail.
+        out = object.__new__(GroupSpec)
+        out.n, out.ideal_gens, out.lie_basis, out.l, out.a_choices = n, ideal, list(basis), l, a
+        return out
 
 
 def _flat(m: QMatrix, n: int) -> list[Fraction]:

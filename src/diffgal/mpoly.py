@@ -645,6 +645,13 @@ def _shorten(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
     ring = num.ring
     if num.is_zero():
         return num, ring.one()
+    if len(den.terms) == 1 and ring._zero_mono in den.terms:
+        # A constant denominator shares no content and divides exactly.
+        lcd = den.terms[ring._zero_mono]
+        if lcd == ring.cone:
+            return num, den
+        inv = ring.cone / lcd
+        return num.scale(inv), den.scale(inv)
     # Cancel common monomial content.
     nmin = [min(m[i] for m in num.terms) for i in range(ring.nvars)]
     dmin = [min(m[i] for m in den.terms) for i in range(ring.nvars)]

@@ -412,6 +412,13 @@ class RatFunc:
             self.num = UPoly.zero()
             self.den = UPoly.one()
             return
+        if len(den.ints) == 1:  # a constant is coprime to everything: no gcd
+            if den.ints[0] != den.denom:
+                num = num * (1 / den.lc)
+                den = UPoly.one()
+            self.num = num
+            self.den = den
+            return
         g = num.gcd(den)
         if g.degree > 0:
             num = num.exact_div(g)

@@ -120,8 +120,8 @@ class Tower:
             if v.tower is not self:
                 raise ValueError("expression belongs to a different tower")
             return v
-        f = RatFunc.coerce(v)
-        return TowerExpr(self, self.ring.const(f), self.ring.one())
+        # A scalar of Q(x) has no radical to rewrite or rationalise.
+        return TowerExpr._raw(self, self.ring.const(RatFunc.coerce(v)), self.ring.one())
 
     def zero(self) -> "TowerExpr":
         return self.expr(0)
@@ -162,6 +162,10 @@ class Tower:
                     out = out + MPoly(self.ring, {mono: c * RatFunc.x() ** q if q else c})
                 return out
         return p
+
+
+def _has_radical(tower: Tower) -> bool:
+    return any(g.kind == "radical" for g in tower.gens)
 
 
 def _rationalize_radical(tower: Tower, num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
@@ -220,14 +224,19 @@ class TowerExpr:
         self.den = frac.den
 
     @classmethod
+    def _raw(cls, tower: Tower, num: MPoly, den: MPoly) -> "TowerExpr":
+        """An expression from a fraction already in its normal form."""
+        out = object.__new__(cls)
+        out.tower, out.num, out.den = tower, num, den
+        return out
+
+    @classmethod
     def _wrap(cls, tower: Tower, frac: MRat) -> "TowerExpr":
         """Wrap a fraction that `MRat` arithmetic normalised in tower.ring;
         only a radical generator calls for more."""
-        if any(g.kind == "radical" for g in tower.gens):
+        if _has_radical(tower):
             return cls(tower, frac.num, frac.den)
-        out = object.__new__(cls)
-        out.tower, out.num, out.den = tower, frac.num, frac.den
-        return out
+        return cls._raw(tower, frac.num, frac.den)
 
     def _frac(self) -> MRat:
         return MRat(_lift_poly(self.num, self.tower.ring),
@@ -276,6 +285,13 @@ class TowerExpr:
         return (-self) + other
 
     def __mul__(self, other) -> "TowerExpr":
+        if isinstance(other, RatFunc):
+            # Scaling the numerator keeps the fraction normalised.
+            if other.is_zero():
+                return self.tower.zero()
+            ring = self.tower.ring
+            return TowerExpr._wrap(self.tower, MRat(_lift_poly(self.num, ring).scale(other),
+                                                    _lift_poly(self.den, ring), normalize=False))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -340,12 +356,27 @@ class TowerExpr:
 
 def apply_operator(op: SkewOp, e: TowerExpr) -> TowerExpr:
     """Apply sum_i a_i D^i to a tower expression."""
-    out = e.tower.zero()
+    tower = e.tower
+    deriv = tower.derivation
+    if e.den.is_constant() and deriv.den.is_constant() and not _has_radical(tower):
+        # A polynomial stays one under a derivation with polynomial images:
+        # derive and sum in the polynomial ring, with no fraction to normalise.
+        ring = tower.ring
+        p = _lift_poly(e.num, ring)
+        acc = ring.zero()
+        for i, c in enumerate(op.coeffs):
+            if i:
+                p = deriv.derive(p)
+            if c:
+                acc = acc + p.scale(c)
+        return TowerExpr._raw(tower, acc, ring.one())
+    out = tower.zero()
     d = e
-    for c in op.coeffs:
-        if not c.is_zero():
+    for i, c in enumerate(op.coeffs):
+        if i:
+            d = d.derive()
+        if c:
             out = out + d * c
-        d = d.derive()
     return out
 
 

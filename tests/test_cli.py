@@ -537,3 +537,72 @@ class TestConfigAndSelftest:
         w = tw.parse(rep["outputs"]["witness"])
         g = tw.expr(parse_ratfunc("1/(x^2-1)"))
         assert (w.derive_n(2) - g).is_zero()
+
+
+class TestOperatorInputErrors:
+    """Operators that cannot be checked end in exit 2 and one `error:` line."""
+
+    @pytest.fixture
+    def tower(self, tmp_path):
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps({
+            "generators": [{"name": "th", "kind": "log", "arg": "x"}],
+            "solutions": ["th", "1"],
+        }))
+        return str(path)
+
+    @pytest.mark.parametrize("text", ["1/D", "x/(x*D)", "2/0", "D/0"])
+    def test_division_exit_2(self, capsys, tower, text):
+        assert main(["verify", "--operator", text, "--tower", tower]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("text", ["0", "D - D", "0*D", "x*(D - D)"])
+    def test_zero_operator_exit_2(self, capsys, tower, text):
+        # the zero operator annihilates everything, so its check proves nothing
+        assert main(["verify", "--operator", text, "--tower", tower]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "zero operator" in captured.err
+
+
+class TestParserReuse:
+    def test_calls_around_an_argparse_failure_match_fresh_calls(self, capsys, spec_file):
+        from diffgal.cli import _parser, build_parser
+
+        argvs = (["expand", "(1,x)", "--fnext", "x"],
+                 ["--format", "json", "construct", "--spec", spec_file],
+                 ["integrate", "--field", "log", "--expr", "L", "--depth", "2"])
+        first = []
+        for argv in argvs:
+            code, rep = run_json(capsys, *argv)
+            rep.pop("timing_ms")
+            first.append((code, rep))
+        with pytest.raises(SystemExit):
+            main(["expand", "--no-such-flag"])
+        with pytest.raises(SystemExit):
+            main(["verify", "--tower", spec_file])  # parser.error inside main
+        capsys.readouterr()
+        for argv, expected in zip(argvs, first):
+            code, rep = run_json(capsys, *argv)
+            rep.pop("timing_ms")
+            assert (code, rep) == expected
+            assert vars(_parser().parse_args(argv)) == vars(build_parser().parse_args(argv))
+        assert _parser() is _parser()
+
+
+def test_one_independence_check_per_construct(capsys, spec_file, monkeypatch):
+    from diffgal import inverse
+
+    calls = []
+    original = inverse._independent
+
+    def counted(mats, n):
+        calls.append(n)
+        return original(mats, n)
+
+    monkeypatch.setattr(inverse, "_independent", counted)
+    code, _ = run_cli(capsys, "construct", "--spec", spec_file)
+    assert code == 0
+    assert calls == [3]

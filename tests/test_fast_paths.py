@@ -1,0 +1,244 @@
+"""Fast paths that skip work which cannot change an answer, each against the
+general path or a reference kept here: constant denominators, sparse matrix
+products, operators parsed over Q(x) and polynomial `apply_operator`."""
+
+import json
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from conftest import rand_ratfunc, rand_small_entry, rand_upoly
+from diffgal.cli import _parse_operator
+from diffgal.diffop import FMatrix, SkewOp
+from diffgal.errors import NotMonic, ParseError
+from diffgal.integrab import _rational_roots, _vanishes_at
+from diffgal.mpoly import MRat, PolyRing
+from diffgal.parsing import parse_expr
+from diffgal.ratfield import RatFunc, UPoly
+from diffgal.tower import Tower, TowerExpr, apply_operator, nested_solutions
+
+X = RatFunc.x()
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+# -- sparse FMatrix product ------------------------------------------------------
+
+
+def dense_product(a: FMatrix, b: FMatrix) -> list[list[RatFunc]]:
+    """Every entry as the full sum over the inner index, zeros included."""
+    return [[sum((a[i, k] * b[k, j] for k in range(a.ncols)), RatFunc.zero())
+             for j in range(b.ncols)] for i in range(a.nrows)]
+
+
+def sparse_matrix(rng, n, m, density):
+    return FMatrix([[rand_small_entry(rng) if rng.random() < density else 0
+                     for _ in range(m)] for _ in range(n)])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sparse_matrix_product_matches_dense(seed):
+    rng = random.Random(seed)
+    for n, k, m in ((1, 1, 1), (3, 3, 3), (2, 4, 3), (4, 2, 1), (5, 5, 5)):
+        for density in (0.0, 0.3, 1.0):
+            a = sparse_matrix(rng, n, k, density)
+            b = sparse_matrix(rng, k, m, rng.choice((0.3, 1.0)))
+            assert (a * b).rows == FMatrix(dense_product(a, b)).rows
+    a = sparse_matrix(rng, 4, 4, 0.8)
+    a = FMatrix([a.rows[0], (0,) * 4, a.rows[2], (0,) * 4])  # zero rows
+    b = sparse_matrix(rng, 4, 3, 0.8)
+    assert (a * b).rows == FMatrix(dense_product(a, b)).rows
+    assert FMatrix.zero(3, 2) * FMatrix.zero(2, 4) == FMatrix.zero(3, 4)
+    assert (FMatrix([]) * FMatrix([])).rows == ()
+
+
+# -- constant denominators ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ratfunc_constant_denominator_matches_general_path(seed):
+    rng = random.Random(seed)
+    for _ in range(40):
+        num = rand_upoly(rng, 5)
+        c = UPoly.const(Fraction(rng.choice([k for k in range(-7, 8) if k]), rng.randint(1, 5)))
+        q = rand_upoly(rng, 3, nonzero=True)
+        while q.degree < 1:
+            q = rand_upoly(rng, 3, nonzero=True)
+        fast = RatFunc(num, c)
+        general = RatFunc(num * q, c * q)  # a nonconstant denominator takes the gcd
+        assert (fast.num, fast.den) == (general.num, general.den)
+        assert fast.den == UPoly.one()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mrat_constant_denominator_matches_general_path(seed):
+    rng = random.Random(seed)
+    ring = PolyRing(("a", "b"), coeff="ratfunc")
+    a, b = ring.gens()
+    for _ in range(25):
+        num = ring.zero()
+        for _ in range(rng.randint(0, 4)):
+            num = num + a ** rng.randint(0, 2) * b ** rng.randint(0, 2) * rand_small_entry(rng)
+        c = ring.const(rand_small_entry(rng))
+        fast = MRat(num, c)
+        for common in (a, a * b + ring.const(X)):
+            general = MRat(num * common, c * common)  # content or an exact division
+            assert (fast.num.terms, fast.den.terms) == (general.num.terms, general.den.terms)
+        if not num.is_zero():
+            assert fast.den.terms == ring.one().terms
+
+
+# -- operators parsed over Q(x) -------------------------------------------------------
+
+
+def parse_operator_skew(text: str) -> SkewOp:
+    """Every atom and literal an operator, so every step is a skew product."""
+    atoms = {"x": SkewOp.const(RatFunc.x()), "D": SkewOp.D()}
+    return parse_expr(text, atoms, lambda k: SkewOp.const(RatFunc.from_int(k)))
+
+
+def golden_operators() -> list[str]:
+    out = []
+    for path in sorted(GOLDEN.glob("*.json")):
+        rep = json.loads(path.read_text())["report"]
+        for part in (rep["inputs"], rep["outputs"]):
+            out += [part[k] for k in ("L", "L_times_fnext", "operator") if part.get(k)]
+    return out
+
+
+def random_operator(rng, depth=3) -> str:
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(["x", "D", str(rng.randint(1, 5)), "(x + 1)", "D^2"])
+    a, b = random_operator(rng, depth - 1), random_operator(rng, depth - 1)
+    den = rng.choice(["x", "(x - 2)", "3", "(x^2 + 1)", "(2*x + 1)^2"])
+    return rng.choice([f"({a}) + ({b})", f"({a}) - ({b})", f"({a})*({b})", f"-({a})",
+                       f"({a})^{rng.randint(0, 2)}", f"({a})/{den}", f"{b}*{a}"])
+
+
+def operator_strings() -> list[str]:
+    rng = random.Random(0x0D0D)
+    fixed = ["D*x", "x*D", "(x*D)^2", "1 + D", "-D", "D", "x", "7", "-x/3",
+             "D^3 + ((4*x - 2)/(x^2 - x))*D^2 + (2/(x^2 - x))*D", "(x^2 - 1)/(x + 1)*D"]
+    return golden_operators() + fixed + [random_operator(rng) for _ in range(50)]
+
+
+def test_golden_operators_collected():
+    assert len(golden_operators()) >= 5
+
+
+@pytest.mark.parametrize("text", operator_strings())
+def test_operator_parse_over_qx_matches_skew_parse(text):
+    op, ref = _parse_operator(text), parse_operator_skew(text)
+    assert isinstance(op, SkewOp)
+    assert op == ref and str(op) == str(ref)
+
+
+@pytest.mark.parametrize("text", ["1/D", "x/(x*D)", "0/D", "(1 + D)/(x*D)"])
+def test_division_by_an_operator_of_positive_order_is_not_monic(text):
+    with pytest.raises(NotMonic):
+        _parse_operator(text)
+
+
+@pytest.mark.parametrize("text", ["D/0", "2/0", "(x*D)/(x - x)", "D/(D - D)"])
+def test_division_by_zero_is_a_parse_error(text):
+    with pytest.raises(ParseError):
+        _parse_operator(text)
+
+
+def test_skew_division_by_zero_operator():
+    with pytest.raises(ZeroDivisionError):
+        SkewOp.D() / SkewOp.zero()
+    with pytest.raises(ZeroDivisionError):
+        SkewOp.D() / 0
+    assert 2 / SkewOp.const(X) == SkewOp.const(2 / X)
+
+
+# -- apply_operator and tower scalars ----------------------------------------------------
+
+
+def apply_operator_loop(op: SkewOp, e: TowerExpr) -> TowerExpr:
+    """sum_i a_i D^i e through `TowerExpr` arithmetic alone."""
+    out = e.tower.zero()
+    d = e
+    for c in op.coeffs:
+        if not c.is_zero():
+            out = out + TowerExpr._wrap(e.tower, d._frac() * MRat.from_poly(
+                e.tower.ring.const(c)))
+        d = d.derive()
+    return out
+
+
+def towers():
+    """(tower, expressions) for each kind of tower apply_operator meets."""
+    out = []
+    tw = Tower()
+    lg = tw.add_log("L", X)
+    out.append((tw, [lg, lg * lg * X + 3, lg / (X - 1), 1 / lg, tw.one()]))
+    tw = Tower()
+    t = tw.add_exp("t", tw.x() * tw.x())
+    out.append((tw, [t, t * t - t * X, t ** -1, (t + 1) / (t - 1)]))
+    vs = nested_solutions([X, -(X - 1) ** 2, X + 2], X + 1)
+    out.append((vs[0].tower, vs + [vs[1] * vs[2], vs[2] / vs[1]]))
+    tw = Tower()  # M = log(log x): M' = 1/(x L) is a fraction
+    lg = tw.add_log("L", X)
+    m = tw.add_log("M", lg)
+    out.append((tw, [m, lg * m + X, m * m, 1 / (m + lg)]))
+    tw = Tower()
+    r = tw.add_radical("r", 3)
+    out.append((tw, [r, r * r + X, r ** 5, 1 / (r + 1)]))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_apply_operator_matches_tower_loop(seed):
+    rng = random.Random(seed)
+    for tw, exprs in towers():
+        for e in exprs:
+            op = SkewOp([rand_small_entry(rng) if rng.random() < 0.8 else 0
+                         for _ in range(rng.randint(1, 4))])
+            got, ref = apply_operator(op, e), apply_operator_loop(op, e)
+            assert got == ref and str(got) == str(ref)
+            ring = tw.ring
+            assert got._frac().num.terms == ref._frac().num.terms
+            assert got._frac().den.terms == ref._frac().den.terms
+            c = rand_ratfunc(rng, 3, nonzero=True)
+            scaled = TowerExpr._wrap(tw, e._frac() * MRat.from_poly(ring.const(c)))
+            assert str(e * c) == str(scaled) and str(c * e) == str(scaled)
+            assert (e * c)._frac().num.terms == scaled._frac().num.terms
+            assert str(e * RatFunc.zero()) == "0"
+
+
+def test_tower_scalar_matches_general_constructor():
+    tw = Tower()
+    tw.add_radical("r", 2)
+    for v in (0, 3, Fraction(-2, 7), X, 1 / (X ** 2 + 1)):
+        f = RatFunc.coerce(v)
+        general = TowerExpr(tw, tw.ring.const(f), tw.ring.one())
+        fast = tw.expr(v)
+        assert (fast.num.terms, fast.den.terms) == (general.num.terms, general.den.terms)
+
+
+# -- rational roots on integers -----------------------------------------------------------
+
+
+def eval_fraction(ints, v: Fraction) -> Fraction:
+    out = Fraction(0)
+    for c in reversed(ints):
+        out = out * v + c
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_integer_root_test_matches_fraction_evaluation(seed):
+    rng = random.Random(seed)
+    for _ in range(30):
+        roots = {Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(1, 3))}
+        p = UPoly([rng.randint(1, 5), 0, rng.randint(1, 3)])  # no rational root
+        for r in roots:
+            k = rng.randint(1, 4)
+            p = p * UPoly([-k * r, k])
+        ints = list(p.ints)  # p times its denominator
+        for v in roots | {Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(5)}:
+            assert _vanishes_at(ints, v) == (eval_fraction(ints, v) == 0)
+        assert set(_rational_roots(p)) == roots

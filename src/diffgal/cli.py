@@ -29,7 +29,7 @@ from .integrab import (
     infinity_integrable_in_Cx,
 )
 from .mpoly import MPoly
-from .parsing import parse_expr, parse_ratfunc
+from .parsing import MAX_DEPTH, parse_expr, parse_ratfunc
 from .ratfield import RatFunc
 from .tower import (Tower, TowerExpr, apply_operator, nested_solutions,
                     rows_satisfy_T_prime_eq_AT)
@@ -237,19 +237,17 @@ def _tower_decls(tower: Tower) -> list[dict]:
 # -- integrate -----------------------------------------------------------------
 
 
-def _standard_tower(field: str) -> tuple[Tower, str]:
+def _standard_tower(field: str) -> Tower:
     tower = Tower()
     if field == "exp":
         tower.add_exp("t", tower.x())
-        return tower, "t"
-    if field == "log":
+    elif field == "log":
         tower.add_log("L", RatFunc.x())
-        return tower, "L"
-    if field.startswith("radical:"):
-        root = int(field.split(":", 1)[1])
-        tower.add_radical("r", root)
-        return tower, "r"
-    raise ParseError(f"unknown field {field!r}")
+    elif field.startswith("radical:"):
+        tower.add_radical("r", int(field.split(":", 1)[1]))
+    else:
+        raise ParseError(f"unknown field {field!r}")
+    return tower
 
 
 def cmd_integrate(args, cfg: Config) -> int:
@@ -259,8 +257,8 @@ def cmd_integrate(args, cfg: Config) -> int:
         depth = None
     else:
         depth = int(args.depth)
-        if depth < 1:
-            raise ParseError("depth must be a positive integer or 'inf'")
+        if not 1 <= depth <= MAX_DEPTH:
+            raise ParseError(f"depth must be a positive integer at most {MAX_DEPTH} or 'inf'")
     field = args.field
     witness_tower: list[dict] = []
     if field == "rational":
@@ -274,10 +272,10 @@ def cmd_integrate(args, cfg: Config) -> int:
             except NotSupported as exc:
                 verdict = IntegrabilityVerdict.not_supported(str(exc))
     else:
-        tower, _name = _standard_tower(field)
+        tower = _standard_tower(field)
         g = tower.parse(args.expr)
-        classify = {"exp": classify_exp, "log": classify_log}.get(
-            field if not field.startswith("radical") else "", classify_radical)
+        classify = {"exp": classify_exp, "log": classify_log,
+                    "radical": classify_radical}[tower.gens[0].kind]
         verdict = classify(g, depth=depth)
     if isinstance(verdict.witness, TowerExpr):
         witness_tower = _tower_decls(verdict.witness.tower)
@@ -446,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", required=True,
                    help="rational | exp | log | radical:N")
     p.add_argument("--expr", required=True, help="expression in the field")
-    p.add_argument("--depth", required=True, help="positive integer or 'inf'")
+    p.add_argument("--depth", required=True,
+                   help=f"positive integer up to {MAX_DEPTH}, or 'inf'")
     p.add_argument("--out", help="write the JSON report to this path")
 
     p = sub.add_parser("verify", help="check annihilation or T' = A T")

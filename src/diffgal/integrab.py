@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb
 from typing import Sequence
 
 from .errors import BudgetExceeded, NotPolynomialInTheta, NotSupported, ZeroEntry
@@ -173,7 +173,8 @@ def _divisors(n: int) -> list[int]:
 
 
 def _rational_roots(p: UPoly) -> list[Fraction]:
-    """All rational roots of p (nonzero p)."""
+    """All rational roots of p (nonzero p).  The candidates +-num/den are
+    tested only if there are at most _FACTOR_TRIAL_LIMIT of them."""
     if p.is_zero():
         raise ValueError("zero polynomial")
     roots = []
@@ -187,9 +188,11 @@ def _rational_roots(p: UPoly) -> list[Fraction]:
     if p.degree == 0:
         return roots
     ints = _primitive_int_list(p.ints)
-    a0, al = ints[0], ints[-1]
-    for num in _divisors(a0):
-        for den in _divisors(al):
+    nums, dens = _divisors(ints[0]), _divisors(ints[-1])
+    if 2 * len(nums) * len(dens) > _FACTOR_TRIAL_LIMIT:
+        raise BudgetExceeded("rational root search budget exhausted")
+    for num in nums:
+        for den in dens:
             for cand in (Fraction(num, den), Fraction(-num, den)):
                 if cand not in roots and _vanishes_at(ints, cand):
                     roots.append(cand)
@@ -317,166 +320,110 @@ def elementary_n_witness(g: RatFunc, n: int) -> TowerExpr:
 # -- tower classifiers -------------------------------------------------------
 
 
-def _single_gen(g: TowerExpr, kind: str):
+def _slice_obstruction(kind: str, i: int, f: RatFunc, root: int | None) -> str | None:
+    """Why the slice f_i of g = sum f_i th^i keeps g from being infinitely
+    integrable in the kind's tower, or None when f_i is admissible: in C[x]
+    for exp and for the radical's x^(0/n) slice, in C[x, 1/x] otherwise."""
+    if kind == "log" or (kind == "radical" and i):
+        if not any(f.den.ints[:-1]):
+            return None
+        if kind == "log":
+            return f"coefficient of th^{i} is not Laurent in x"
+        return f"coefficient of x^({i}/{root}) is not Laurent in x"
+    if f.den.degree == 0:
+        return None
+    if kind == "exp":
+        return f"coefficient of degree {i} is not polynomial"
+    return "the x^(0/n) coefficient must be polynomial"
+
+
+def _solve(a: dict[int, Fraction], s: int) -> dict[int, Fraction]:
+    """The polynomial h = sum h_k y^k with dh/dy + s h = sum a_k y^k:
+    h_k = a_(k-1)/k for s = 0, else h_k = (a_k - (k+1) h_(k+1))/s."""
+    if s == 0:
+        return {k + 1: c / (k + 1) for k, c in a.items()}
+    h: dict[int, Fraction] = {}
+    prev = Fraction(0)
+    for k in range(max(a), -1, -1):
+        prev = (a.get(k, 0) - (k + 1) * prev) / s
+        if prev:
+            h[k] = prev
+    return h
+
+
+def _integrate_once(kind: str, monos: dict[tuple[int, int], Fraction],
+                    root: int | None) -> dict[tuple[int, int], Fraction]:
+    """One antiderivative of sum a x^m th^i over admissible monomials (m, i): a
+    of the kind's tower."""
+    if kind == "radical":  # x^m th^i = x^(m + i/n)
+        return {(m + 1, i): a / (m + 1 + Fraction(i, root)) for (m, i), a in monos.items()}
+    # exp: (th^i h(x))' = th^i (h' + i h); log: (x^(m+1) h(th))' = x^m (h' + (m+1) h),
+    # with h' = dh/dth.  Each column s of like monomials solves h' + s h = column.
+    exp = kind == "exp"
+    columns: dict[int, dict[int, Fraction]] = {}
+    for (m, i), a in monos.items():
+        s, k = (i, m) if exp else (m + 1, i)
+        columns.setdefault(s, {})[k] = a
+    return {((k, s) if exp else (s, k)): h
+            for s, col in columns.items() for k, h in _solve(col, s).items()}
+
+
+def _classify(g: TowerExpr, kind: str, depth: int | None) -> IntegrabilityVerdict:
+    """Infinity-integrability of g = sum f_i th^i in Q(x)(th) for the tower's
+    one generator th of the given kind: g is infinitely integrable exactly
+    when every slice f_i is admissible.  For a finite depth the witness
+    integrates the map of monomials a x^m th^i of g, and is checked by
+    differentiating it back."""
     gens = [gen for gen in g.tower.gens if gen.kind == kind]
     if len(gens) != 1:
         raise ValueError(f"expected exactly one {kind} generator, found {len(gens)}")
-    return gens[0]
-
-
-def _is_power_of_x(den: UPoly) -> bool:
-    return all(c == 0 for c in den.coeffs[:-1])
-
-
-def _laurent_x_monomials(f: RatFunc) -> list[tuple[Fraction, int]]:
-    """Monomials (a, m) of f in C[x, 1/x]; requires den = x^a."""
-    if not _is_power_of_x(f.den):
-        raise ValueError(f"{f} is not Laurent in x")
-    shift = f.den.degree
-    return [(c, k - shift) for k, c in enumerate(f.num.coeffs) if c != 0]
-
-
-def classify_exp(g: TowerExpr, depth: int | None = None) -> IntegrabilityVerdict:
-    """Infinity-integrability in C(x, e^x): g must be sum f_i t^i, f_i in C[x].
-
-    For a finite depth, a witness is produced by solving h' + i h = f in Q[x]
-    per Laurent degree (unique) and integrating the i = 0 slice directly.
-    """
-    gen = _single_gen(g, "exp")
+    gen = gens[0]
     try:
-        coeffs = laurent_normal(g, gen.name)
+        coeffs = laurent_normal(g, gen)
     except NotPolynomialInTheta as exc:
         return IntegrabilityVerdict.not_integrable(reason=str(exc))
-    slices: dict[int, RatFunc] = {}
+    monos: dict[tuple[int, int], Fraction] = {}
     for i, ce in coeffs.items():
         f = ce.as_ratfunc()
-        if f.den.degree != 0:
-            return IntegrabilityVerdict.not_integrable(
-                obstruction=f, reason=f"coefficient of degree {i} is not polynomial")
-        slices[i] = f
+        reason = _slice_obstruction(kind, i, f, gen.root)
+        if reason is not None:
+            return IntegrabilityVerdict.not_integrable(obstruction=f, reason=reason)
+        shift = f.den.degree  # f.den is x^shift
+        for k, a in enumerate(f.num.coeffs):
+            if a:
+                monos[(k - shift, i)] = a
     if depth is None:
         return IntegrabilityVerdict.integrable()
-    tower = g.tower
-    t = tower.gen_expr(gen.name)
-    witness = tower.zero()
-    for i, f in slices.items():
-        p = f.num
-        for _ in range(depth):
-            p = p.integral() if i == 0 else _solve_exp_slice(p, i)
-        witness = witness + t**i * RatFunc(p)
-    return IntegrabilityVerdict.integrable(witness=witness)
-
-
-def _solve_exp_slice(f: UPoly, i: int) -> UPoly:
-    """Unique polynomial h with h' + i*h = f (i != 0)."""
-    d = f.degree
-    if d < 0:
-        return UPoly.zero()
-    h = [Fraction(0)] * (d + 1)
-    for k in range(d, -1, -1):
-        above = (k + 1) * h[k + 1] if k + 1 <= d else Fraction(0)
-        h[k] = (f[k] - above) / i
-    return UPoly(h)
-
-
-def classify_log(g: TowerExpr, depth: int | None = None) -> IntegrabilityVerdict:
-    """Infinity-integrability in C(x, log x): g must be sum f_i th^i with
-    f_i in C[x, 1/x].  Witnesses integrate monomial-by-monomial by parts."""
-    gen = _single_gen(g, "log")
-    try:
-        coeffs = laurent_normal(g, gen.name)
-    except NotPolynomialInTheta as exc:
-        return IntegrabilityVerdict.not_integrable(reason=str(exc))
-    slices: dict[int, RatFunc] = {}
-    for i, ce in coeffs.items():
-        f = ce.as_ratfunc()
-        if not _is_power_of_x(f.den):
-            return IntegrabilityVerdict.not_integrable(
-                obstruction=f, reason=f"coefficient of th^{i} is not Laurent in x")
-        slices[i] = f
-    if depth is None:
-        return IntegrabilityVerdict.integrable()
+    for _ in range(depth):
+        monos = _integrate_once(kind, monos, gen.root)
+    powers: dict[int, dict[int, Fraction]] = {}
+    for (m, i), a in monos.items():
+        powers.setdefault(i, {})[m] = a
     tower = g.tower
     th = tower.gen_expr(gen.name)
     witness = tower.zero()
-    for i, f in slices.items():
-        for a, m in _laurent_x_monomials(f):
-            witness = witness + _int_log_monomial(a, m, i, tower, th, depth)
+    for i in sorted(powers):
+        lo = min(0, *powers[i])
+        num = [Fraction(0)] * (max(powers[i]) - lo + 1)
+        for m, a in powers[i].items():
+            num[m - lo] = a
+        witness = witness + th**i * RatFunc(UPoly(num), UPoly.monomial(1, -lo))
+    if witness.derive_n(depth) != g:
+        raise AssertionError("witness failed to differentiate back to the input")
     return IntegrabilityVerdict.integrable(witness=witness)
 
 
-def _int_log_monomial(a: Fraction, m: int, k: int, tower: Tower, th: TowerExpr,
-                      depth: int) -> TowerExpr:
-    """depth-fold antiderivative of a x^m th^k inside C[x,1/x][th]."""
-    e = _x_pow(tower, m) * th**k * a
-    for _ in range(depth):
-        e = _int_log_once(e, tower, th)
-    return e
+def classify_exp(g: TowerExpr, depth: int | None = None) -> IntegrabilityVerdict:
+    """Infinity-integrability in C(x, e^x): g = sum f_i t^i with f_i in C[x]."""
+    return _classify(g, "exp", depth)
 
 
-def _int_log_once(e: TowerExpr, tower: Tower, th: TowerExpr) -> TowerExpr:
-    gen = _single_gen(th, "log")
-    out = tower.zero()
-    for k, ce in laurent_normal(e, gen.name).items():
-        f = ce.as_ratfunc()
-        for a, m in _laurent_x_monomials(f):
-            out = out + _int_one_log_monomial(a, m, k, tower, th)
-    return out
-
-
-def _int_one_log_monomial(a: Fraction, m: int, k: int, tower: Tower,
-                          th: TowerExpr) -> TowerExpr:
-    if m == -1:
-        # int a th^k / x = a th^(k+1)/(k+1)
-        return th ** (k + 1) * Fraction(a, k + 1)
-    lead = _x_pow(tower, m + 1) * th**k * Fraction(a, m + 1)
-    if k == 0:
-        return lead
-    tail = _int_one_log_monomial(Fraction(a * k, m + 1), m, k - 1, tower, th)
-    return lead - tail
-
-
-def _x_pow(tower: Tower, m: int) -> TowerExpr:
-    x = RatFunc.x()
-    return tower.expr(x**m if m >= 0 else RatFunc.one() / x ** (-m))
+def classify_log(g: TowerExpr, depth: int | None = None) -> IntegrabilityVerdict:
+    """Infinity-integrability in C(x, log x): g = sum f_i th^i with f_i in C[x, 1/x]."""
+    return _classify(g, "log", depth)
 
 
 def classify_radical(g: TowerExpr, depth: int | None = None) -> IntegrabilityVerdict:
     """Infinity-integrability in C(x^(1/n)): g = sum_{i<n} f_i x^(i/n) with
     f_0 in C[x] and f_i in C[x, 1/x] for i >= 1."""
-    gen = _single_gen(g, "radical")
-    root = gen.root
-    try:
-        coeffs = laurent_normal(g, gen.name)
-    except NotPolynomialInTheta as exc:
-        return IntegrabilityVerdict.not_integrable(reason=str(exc))
-    slices: dict[int, RatFunc] = {}
-    for i, ce in coeffs.items():
-        f = ce.as_ratfunc()
-        if i == 0:
-            if f.den.degree != 0:
-                return IntegrabilityVerdict.not_integrable(
-                    obstruction=f, reason="the x^(0/n) coefficient must be polynomial")
-        elif not _is_power_of_x(f.den):
-            return IntegrabilityVerdict.not_integrable(
-                obstruction=f, reason=f"coefficient of x^({i}/{root}) is not Laurent in x")
-        slices[i] = f
-    if depth is None:
-        return IntegrabilityVerdict.integrable()
-    tower = g.tower
-    th = tower.gen_expr(gen.name)
-    witness = tower.zero()
-    for i, f in slices.items():
-        if i == 0:
-            p = f.num
-            for _ in range(depth):
-                p = p.integral()
-            witness = witness + tower.expr(RatFunc(p))
-            continue
-        for a, m in _laurent_x_monomials(f):
-            cur_a, cur_m = a, m
-            for _ in range(depth):
-                step = cur_m + 1 + Fraction(i, root)
-                cur_a, cur_m = cur_a / step, cur_m + 1
-            witness = witness + _x_pow(tower, cur_m) * th**i * cur_a
-    return IntegrabilityVerdict.integrable(witness=witness)
+    return _classify(g, "radical", depth)

@@ -27,6 +27,10 @@ MAX_NESTING = 100
 # a long sum of distinct bounded powers is a ParseError too.
 MAX_POWER_DEGREE = 1000
 
+# Bound on an `integrate --depth`: every depth step integrates the whole
+# witness once more, and the cost grows faster than the depth.
+MAX_DEPTH = 100
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^|\*|/|\+|-|\(|\)))")
 
 

@@ -187,6 +187,24 @@ class TestIntegrate:
         assert main(["integrate", "--field", "rational",
                      "--expr", "x", "--depth", "-1"]) == 2
 
+    def test_depth_bound(self, capsys):
+        from diffgal.parsing import MAX_DEPTH
+
+        code, _ = run_json(capsys, "integrate", "--field", "rational",
+                           "--expr", "x", "--depth", str(MAX_DEPTH))
+        assert code == 0
+        assert main(["integrate", "--field", "exp", "--expr", "t",
+                     "--depth", str(MAX_DEPTH + 1)]) == 2
+        assert f"at most {MAX_DEPTH}" in capsys.readouterr().err
+
+    def test_root_search_budget_exit_3(self, capsys, monkeypatch):
+        import diffgal.integrab as integrab
+
+        monkeypatch.setattr(integrab, "_FACTOR_TRIAL_LIMIT", 2000)
+        assert main(["integrate", "--field", "rational", "--expr",
+                     "1/(x-1)^3 + 2/(x-2)^2 + 3/(x+5) + x^5", "--depth", "15"]) == 3
+        assert "rational root search budget" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_operator_annihilation(self, capsys, tmp_path):

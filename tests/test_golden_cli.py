@@ -86,6 +86,14 @@ CASES = {
                                         "--expr", "(x+1)/(r+1)", "--depth", "2"], {}),
     "integrate_radical_obstruction": (["integrate", "--field", "radical:3",
                                        "--expr", "1/(r^2+1)", "--depth", "inf"], {}),
+    "integrate_exp_slices": (["integrate", "--field", "exp",
+                              "--expr", "(x^2 - 1)*t^2 + 3*t + x/t", "--depth", "3"], {}),
+    "integrate_exp_obstruction": (["integrate", "--field", "exp",
+                                   "--expr", "t/x", "--depth", "2"], {}),
+    "integrate_log_by_parts": (["integrate", "--field", "log",
+                                "--expr", "(x^2 + 1/x)*L^2 + L/x", "--depth", "3"], {}),
+    "integrate_log_obstruction": (["integrate", "--field", "log",
+                                   "--expr", "L/(x+1)", "--depth", "inf"], {}),
     "expand_three": (["expand", "(1,x,x^2)", "--fnext", "x+1"], {}),
     "verify_operator": (
         ["verify", "--operator", "D*x*D", "--tower", "tower.json"],

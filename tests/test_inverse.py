@@ -7,11 +7,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import is_companion
-from diffgal.diffop import FMatrix, SkewOp, gauge_transform
+from diffgal.diffop import FMatrix, SkewOp, gauge_transform, gauss_jordan
 from diffgal.errors import (
     BadSpec,
     InconsistentSpec,
     NoCyclicVectorFound,
+    NotNilpotent,
     NotReducedToBase,
     ZeroEntry,
 )
@@ -33,7 +34,7 @@ from diffgal.inverse import (
 )
 import diffgal.inverse as inverse
 import diffgal.mpoly as mpoly
-from diffgal.mpoly import MRat, buchberger, is_groebner
+from diffgal.mpoly import MRat, is_groebner
 from diffgal.ratfield import RatFunc, hermite_reduce
 
 X = RatFunc.x()
@@ -141,12 +142,12 @@ class TestCyclicVector:
 
 class TestGRecursion:
     def setup_method(self):
-        self.ring = z_ring(3)
         self.spec = golden_spec()
         self.au = build_Au(self.spec)
-        self.deriv = derivation_from_Au(self.au, self.ring)
-        z = generic_point(self.ring, 3)
-        self.ws = [MRat.from_poly(z[0][1]), MRat.from_poly(z[0][2])]
+        self.z = generic_point(3, self.spec.ideal_gens)
+        self.ring = self.z[0][0].ring
+        self.deriv = derivation_from_Au(self.au, self.z)
+        self.ws = [MRat.from_poly(self.z[0][1]), MRat.from_poly(self.z[0][2])]
 
     def test_golden_g3(self):
         gs = g_recursion(self.ws, self.deriv)
@@ -156,51 +157,96 @@ class TestGRecursion:
         # G_2 = 1/(Z_2_3 + (x-c1)/(x-c2))'
         gs = g_recursion(self.ws, self.deriv)
         inner = MRat.from_poly(
-            self.ring.var("Z_2_3") + self.ring.const(X / (X - 1)))
+            self.z[1][2] + self.ring.const(X / (X - 1)))
         assert gs[1] == inner.derive(self.deriv).inverse()
 
     def test_full_u2(self):
-        ring = z_ring(2)
+        z = generic_point(2)
         au = FMatrix([[0, 1 / (X - 1)], [0, 0]])
-        deriv = derivation_from_Au(au, ring)
-        ws = [MRat.from_poly(ring.var("Z_1_2"))]
+        deriv = derivation_from_Au(au, z)
+        ws = [MRat.from_poly(z[0][1])]
         gs = g_recursion(ws, deriv)
-        assert gs == [MRat.from_poly(ring.const(X - 1))]
+        assert gs == [MRat.from_poly(z[0][0].ring.const(X - 1))]
+
+
+def z23_point():
+    """The generic point of exp(g) for I = <Z_2_3> in U(3), over Q(x)[Z_1_3, Z_1_2]."""
+    return generic_point(3, [z_ring(3, coeff="rational").var("Z_2_3")])
 
 
 class TestReduceToF:
     def test_golden_phi(self):
-        ring = z_ring(3)
-        gb = buchberger([ring.var("Z_2_3")])
         spec = golden_spec()
-        deriv = derivation_from_Au(build_Au(spec), ring)
-        z = generic_point(ring, 3)
+        z = z23_point()
+        deriv = derivation_from_Au(build_Au(spec), z)
         ws = [MRat.from_poly(z[0][1]), MRat.from_poly(z[0][2])]
         gs = g_recursion(ws, deriv)
-        assert reduce_to_F(gs[0], gb) == X
-        assert reduce_to_F(gs[1], gb) == -((X - 1) ** 2)
+        assert reduce_to_F(gs[0]) == X
+        assert reduce_to_F(gs[1]) == -((X - 1) ** 2)
 
     def test_z_free_unchanged(self):
-        ring = z_ring(3)
-        gb = buchberger([ring.var("Z_2_3")])
+        ring = z23_point()[0][0].ring
         g = MRat.from_poly(ring.const((X + 2) / (X - 5)))
-        assert reduce_to_F(g, gb) == (X + 2) / (X - 5)
-
-    def test_nontrivial_normal_form(self):
-        # numerator and denominator both congruent to Z-free values mod <Z_2_3>
-        ring = z_ring(3)
-        gb = buchberger([ring.var("Z_2_3")])
-        z23 = ring.var("Z_2_3")
-        num = z23.scale(X**2) + ring.const(X + 1)
-        den = z23.scale(1 / (X - 7)) + ring.const(X - 3)
-        assert reduce_to_F(MRat(num, den), gb) == (X + 1) / (X - 3)
+        assert reduce_to_F(g) == (X + 2) / (X - 5)
 
     def test_surviving_variable_raises(self):
-        ring = z_ring(3)
-        gb = buchberger([ring.var("Z_2_3")])
+        ring = z23_point()[0][0].ring
         g = MRat.from_poly(ring.var("Z_1_2"))
         with pytest.raises(NotReducedToBase):
-            reduce_to_F(g, gb)
+            reduce_to_F(g)
+
+
+class TestGenericPoint:
+    def test_graph_entries(self):
+        ring = z_ring(3, coeff="rational")
+        z12, z23 = ring.var("Z_1_2"), ring.var("Z_2_3")
+        z = generic_point(3, [ring.var("Z_1_3") - (z12 * z23).scale(Fraction(1, 2))])
+        assert z[0][0].ring.names == ("Z_1_2", "Z_2_3")
+        assert [str(z[i][j]) for i, j in ((0, 1), (1, 2), (0, 2))] == [
+            "Z_1_2", "Z_2_3", "(1/2)*Z_1_2*Z_2_3"]
+        assert z[1][1] == z[0][0].ring.one() and z[1][0].is_zero()
+
+    def test_full_point_is_the_full_ring(self):
+        assert generic_point(4)[0][0].ring == z_ring(4)
+
+    def test_tail_in_a_dependent_variable_rejected(self):
+        ring = z_ring(3, coeff="rational")
+        gens = [ring.var("Z_1_3") - ring.var("Z_2_3"), ring.var("Z_2_3")]
+        with pytest.raises(BadSpec, match="graph"):
+            generic_point(3, gens)
+
+
+class TestCertificateFacets:
+    def test_annihilation_false_for_a_wrong_f(self):
+        res = run_pipeline(golden_spec())
+        z = generic_point(3, res.spec.ideal_gens)
+        deriv = derivation_from_Au(res.A_u, z)
+        y1_inv = 1 / res.B[0, 0]
+        ws = [MRat.from_poly(inverse._row_times_z(res.B, z, 0, j).scale(y1_inv)) for j in (1, 2)]
+        assert inverse._check_annihilation(ws, res.f_partial, deriv)
+        f2, f3 = res.f_partial
+        assert not inverse._check_annihilation(ws, (f2, f3 + 1), deriv)
+
+    def test_differential_ideal_true_for_A_u_in_g(self):
+        spec = golden_spec().resolved()
+        z = generic_point(3, spec.ideal_gens)
+        au = build_Au(spec)
+        assert inverse._check_differential_ideal(au, z, derivation_from_Au(au, z))
+
+    def test_differential_ideal_false_for_A_u_outside_g(self):
+        # the point of exp(span(E12, E13)) has Z_2_3 = 0, but A_u = E23/x moves it
+        spec = golden_spec().resolved()
+        z = generic_point(3, spec.ideal_gens)
+        au = FMatrix([[0, 0, 0], [0, 0, 1 / X], [0, 0, 0]])
+        assert not inverse._check_differential_ideal(au, z, derivation_from_Au(au, z))
+
+    def test_differential_ideal_false_at_a_point_of_the_wrong_group(self):
+        # the point of exp(s (E12 + E23)) has Z_1_3 = Z_2_3^2/2, which the
+        # derivation of A_u = (E12 + E23 + E13)/x does not keep
+        g = [[Fraction(int(j == i + 1)) for j in range(3)] for i in range(3)]
+        z = generic_point(3, ideal_from_lie([g], 3))
+        au = FMatrix([[0, 1 / X, 1 / X], [0, 0, 1 / X], [0, 0, 0]])
+        assert not inverse._check_differential_ideal(au, z, derivation_from_Au(au, z))
 
 
 class TestPipeline:
@@ -310,8 +356,8 @@ class TestLieIdealConversions:
 
 
 class TestSpecIsOneGroup:
-    """`resolved` takes the ideal from the log map and accepts a given ideal
-    only when its reduced basis over Q is exactly that one."""
+    """`resolved` takes the ideal from the graph of exp and accepts a given
+    ideal only when its reduced basis over Q is exactly that one."""
 
     def test_non_reduced_ideal_accepted_and_replaced(self):
         ring = z_ring(3, coeff="rational")
@@ -423,6 +469,83 @@ def _sympy_exp_ideal(sp, basis, n):
             for i in range(n) for j in range(i + 1, n)]
     gb = sp.groebner(rels, *ts, *zs, order="lex")
     return [g for g in gb.exprs if not g.free_symbols & set(ts)], zm
+
+
+def log_series(u_mat):
+    """log U = sum_k (-1)^(k+1) N^k / k for N = U - 1 strictly upper, where N^n = 0."""
+    n = len(u_mat)
+    ring = u_mat[0][0].ring
+    nil = [[e - 1 if i == j else e for j, e in enumerate(row)] for i, row in enumerate(u_mat)]
+    if any(not nil[i][j].is_zero() for i in range(n) for j in range(i + 1)):
+        raise NotNilpotent("U - 1 must be strictly upper triangular")
+    out = [[ring.zero()] * n for _ in range(n)]
+    power = nil
+    for k in range(1, n):
+        if k > 1:
+            power = [[sum((power[i][t] * nil[t][j] for t in range(n)), ring.zero())
+                      for j in range(n)] for i in range(n)]
+        out = [[e + p.scale(Fraction((-1) ** (k + 1), k)) for e, p in zip(r, q)]
+               for r, q in zip(out, power)]
+    return out
+
+
+def log_map_ideal(basis, n):
+    """Reference reduced basis of I(exp g): l(log Z) for l in the annihilator of g,
+    in reduced echelon form in the `z_ring` order, interreduced by normal forms."""
+    ring = z_ring(n, coeff="rational")
+    cells = inverse._cells(n)  # the `z_ring` order
+    annihilator = inverse._nullspace([[Fraction(m[i][j]) for i, j in cells] for m in basis],
+                                     len(cells))
+    z = [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)]
+    for i, j in cells:
+        z[i][j] = ring.var(f"Z_{i + 1}_{j + 1}")
+    log_z = log_series(z)
+    gens = []
+    for ell in reversed(gauss_jordan(annihilator, len(cells))[0] if annihilator else []):
+        g = sum((log_z[i][j].scale(e) for e, (i, j) in zip(ell, cells) if e), ring.zero())
+        gens.append(mpoly.normal_form(g, gens))
+    return gens[::-1]
+
+
+def _subalgebra_shapes(n):
+    """One- and two-parameter, block-diagonal, height >= 2 and all-but-E12
+    subalgebras of u(n)."""
+    cells = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    half = n // 2
+    return {
+        "one_parameter": _seeded_subalgebra(random.Random(n), n, 1),
+        "two_parameter": _seeded_subalgebra(random.Random(n), n, 2),
+        "block": [E(n, i, j) for i, j in cells if (i <= half) == (j <= half)],
+        "height_2": [E(n, i, j) for i, j in cells if j - i >= 2],
+        "all_but_E12": [E(n, i, j) for i, j in cells if (i, j) != (1, 2)],
+    }
+
+
+class TestGraphIdeal:
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_matches_log_map_reference(self, n):
+        rng = random.Random(f"graph/{n}")
+        for name, basis in _subalgebra_shapes(n).items():
+            for g in (basis, _conjugated(rng, basis, n)):
+                assert ideal_from_lie(g, n) == log_map_ideal(g, n), name
+
+    def test_full_algebra_forms_no_polynomial(self, monkeypatch):
+        def no_ring(*args, **kwargs):
+            raise AssertionError("polynomial ring formed")
+
+        monkeypatch.setattr(inverse, "z_ring", no_ring)
+        full = [E(6, i, j) for i in range(1, 7) for j in range(i + 1, 7)]
+        assert ideal_from_lie(_conjugated(random.Random(6), full, 6), 6) == []
+
+    def test_lie_only_construct_calls_no_normal_form(self, monkeypatch):
+        def no_normal_form(*args):
+            raise AssertionError("normal form formed")
+
+        monkeypatch.setattr(mpoly, "normal_form", no_normal_form)
+        monkeypatch.setattr(inverse, "normal_form", no_normal_form)
+        for basis in _subalgebra_shapes(5).values():
+            res = run_pipeline(GroupSpec(n=5, lie_basis=basis))
+            assert res.certificate.all_green()
 
 
 class TestLogMapIdeal:

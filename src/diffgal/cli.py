@@ -30,7 +30,7 @@ from .integrab import (
 )
 from .mpoly import MPoly
 from .parsing import MAX_DEPTH, parse_expr, parse_ratfunc
-from .ratfield import RatFunc
+from .ratfield import RatFunc, memo_scope
 from .tower import (Tower, TowerExpr, apply_operator, nested_solutions,
                     rows_satisfy_T_prime_eq_AT)
 
@@ -140,10 +140,12 @@ def _parse_group_spec(data: dict) -> inverse.GroupSpec:
     basis = None
     if "lie_basis" in data:
         basis = []
+        known: dict[int, Fraction] = {}  # each int entry is converted once
         for raw in _expect(data["lie_basis"], list, "'lie_basis'"):
             mat = []
             for row in _expect(raw, list, "a Lie basis matrix"):
-                mat.append(tuple(_rational_entry(e) for e in _expect(row, list, "a matrix row")))
+                mat.append(tuple(_rational_entry(e, known)
+                                 for e in _expect(row, list, "a matrix row")))
             basis.append(tuple(mat))
     a = None
     if "a" in data:
@@ -154,14 +156,17 @@ def _parse_group_spec(data: dict) -> inverse.GroupSpec:
     return inverse.GroupSpec(n=n, ideal_gens=ideal, lie_basis=basis, l=l, a_choices=a)
 
 
-def _rational_entry(e) -> Fraction:
+def _rational_entry(e, known: dict[int, Fraction]) -> Fraction:
     if isinstance(e, str):
         val = parse_ratfunc(e)
         if not val.is_constant():
             raise ParseError(f"matrix entry {e!r} is not a rational constant")
         return val.as_fraction()
     if isinstance(e, int) and not isinstance(e, bool):
-        return Fraction(e)
+        q = known.get(e)
+        if q is None:
+            q = known[e] = Fraction(e)
+        return q
     raise ParseError(f"matrix entry {e!r} must be an integer or a rational string")
 
 
@@ -464,6 +469,7 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@memo_scope()
 def main(argv: list[str] | None = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)

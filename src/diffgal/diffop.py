@@ -249,8 +249,9 @@ def gauss_jordan(rows: Sequence[Sequence], ncols: int) -> tuple[list[list], list
             det = -det
         p = a[r][c]
         det = det * p
-        pinv = 1 / p
-        a[r] = [e * pinv for e in a[r]]
+        if p != 1:
+            pinv = 1 / p
+            a[r] = [e * pinv for e in a[r]]
         for i, row in enumerate(a):
             f = row[c]
             if i != r and f:

@@ -46,7 +46,7 @@ from .mpoly import (  # noqa: F401
     normal_form,
     DEFAULT_BUDGET,
 )
-from .ratfield import RatFunc, hermite_reduce
+from .ratfield import RatFunc, hermite_reduce, memo_scope
 from .tower import fundamental_T, rows_satisfy_T_prime_eq_AT
 
 DEFAULT_CYCLIC_BUDGET = 200
@@ -74,7 +74,8 @@ def z_ring(n: int, coeff: str = "ratfunc") -> PolyRing:
 
 
 def _q_matrix(rows: Sequence[Sequence]) -> QMatrix:
-    return tuple(tuple(Fraction(e) for e in row) for row in rows)
+    return tuple(tuple(e if isinstance(e, Fraction) else Fraction(e) for e in row)
+                 for row in rows)
 
 
 def _check_strictly_upper(m: QMatrix, n: int, what: str):
@@ -359,9 +360,27 @@ def cyclic_vector(au: FMatrix, budget: int = DEFAULT_CYCLIC_BUDGET
                 nxt[j] = acc
             rows.append(tuple(nxt))
         b = FMatrix(rows)
-        if not b.det().is_zero():
+        if _invertible(b):
             return v, b
     raise NoCyclicVectorFound(f"no cyclic vector among {tried} candidates")
+
+
+def _invertible(b: FMatrix) -> bool:
+    """det B != 0 over Q(x).
+
+    B is evaluated at the first of 0, 1, -1, 2, -2, ... where no entry has a
+    pole; a value of full rank over Q proves det B != 0.  Only a singular value
+    leaves the question to the exact determinant.
+    """
+    n = b.nrows
+    k = 0
+    while True:
+        t = Fraction((k + 1) // 2 if k % 2 else -(k // 2))
+        if all(e.den.eval(t) for row in b.rows for e in row):
+            break
+        k += 1
+    value = [[e.eval(t) for e in row] for row in b.rows]
+    return len(gauss_jordan(value, n)[1]) == n or not b.det().is_zero()
 
 
 def g_recursion(ws: Sequence[MRat], deriv: Derivation) -> list[MRat]:
@@ -441,6 +460,7 @@ class PipelineResult:
         return self.f_tuple[1:]
 
 
+@memo_scope()
 def run_pipeline(spec: GroupSpec, groebner_budget: int = DEFAULT_BUDGET,
                  cyclic_budget: int = DEFAULT_CYCLIC_BUDGET) -> PipelineResult:
     """Full construction: A_u, cyclic vector, Wronskian normalization, G recursion

@@ -8,10 +8,17 @@ kept in canonical form (monic denominator, coprime numerator and denominator)
 so that equality is structural.  Hermite reduction and Yun squarefree
 decomposition make in-field integrability decidable without factoring
 denominators into irreducibles.
+
+Inside a `memo_scope` the sums, products and derivatives of `RatFunc`s are
+memoized: each distinct one is computed once and read back after that.  The
+memo lives in a context variable, so it is private to the thread (and the
+context) that opened the scope, and it is dropped when the scope exits.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _igcd, lcm
@@ -21,6 +28,26 @@ from .errors import ZeroDenominator, ZeroPolynomial
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# Results of RatFunc +, * and derive in the open memo scope; None outside one.
+_MEMO: ContextVar[dict | None] = ContextVar("diffgal_ratfunc_memo", default=None)
+
+
+@contextmanager
+def memo_scope():
+    """Memoize `RatFunc` sums, products and derivatives until the block exits.
+
+    Inside an open scope this opens none and shares the open one.  Usable as a
+    decorator too: each call of the decorated function enters the scope.
+    """
+    if _MEMO.get() is not None:
+        yield
+        return
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
 
 
 def _as_fraction(v) -> Fraction:
@@ -502,18 +529,36 @@ class RatFunc:
     def __neg__(self) -> "RatFunc":
         return RatFunc._raw(-self.num, self.den)
 
+    def _memo_key(self, tag: str, other: "RatFunc | None" = None) -> tuple:
+        # A canonical denominator is monic, so its `ints` fix its `denom`.
+        n, d = self.num, self.den
+        if other is None:
+            return tag, n.ints, n.denom, d.ints
+        m = other.num
+        return tag, n.ints, n.denom, d.ints, m.ints, m.denom, other.den.ints
+
     def __add__(self, other) -> "RatFunc":
         try:
             other = RatFunc.coerce(other)
         except TypeError:
             return NotImplemented
+        if other.num.is_zero():
+            return self
+        if self.num.is_zero():
+            return other
+        memo = _MEMO.get()
+        if memo is None:
+            return self._add(other)
+        key = self._memo_key("+", other)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = self._add(other)
+        return out
+
+    def _add(self, other: "RatFunc") -> "RatFunc":
         # Henrici: with both operands reduced, only input-sized gcds are needed.
         n1, d1 = self.num, self.den
         n2, d2 = other.num, other.den
-        if n2.is_zero():
-            return self
-        if n1.is_zero():
-            return other
         if d1.degree == 0 and d2.degree == 0:
             s = n1 + n2
             return RatFunc._raw(s, UPoly.one()) if not s.is_zero() else RatFunc._raw(UPoly.zero(), UPoly.one())
@@ -553,6 +598,16 @@ class RatFunc:
             return NotImplemented
         if self.num.is_zero() or other.num.is_zero():
             return RatFunc._raw(UPoly.zero(), UPoly.one())
+        memo = _MEMO.get()
+        if memo is None:
+            return self._mul(other)
+        key = self._memo_key("*", other)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = self._mul(other)
+        return out
+
+    def _mul(self, other: "RatFunc") -> "RatFunc":
         n1, d1 = self.num, self.den
         n2, d2 = other.num, other.den
         g1 = n1.gcd(d2) if d2.degree > 0 else UPoly.one()
@@ -596,6 +651,16 @@ class RatFunc:
 
     def derive(self) -> "RatFunc":
         """Derivative under x' = 1 (quotient rule)."""
+        memo = _MEMO.get()
+        if memo is None:
+            return self._derive()
+        key = self._memo_key("d")
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = self._derive()
+        return out
+
+    def _derive(self) -> "RatFunc":
         n, d = self.num, self.den
         if d.degree == 0:
             return RatFunc._raw(n.derivative(), d)

@@ -242,3 +242,30 @@ def test_integer_root_test_matches_fraction_evaluation(seed):
         for v in roots | {Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(5)}:
             assert _vanishes_at(ints, v) == (eval_fraction(ints, v) == 0)
         assert set(_rational_roots(p)) == roots
+
+
+# -- Lie-basis entries converted once --------------------------------------------------------
+
+
+def test_spec_entries_become_one_fraction_per_distinct_int():
+    from diffgal.cli import _parse_group_spec
+
+    n = 4
+    basis = [[[int((r, c) == cell) for c in range(n)] for r in range(n)]
+             for cell in ((0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3))]
+    basis[0][0][3] = 2
+    spec = _parse_group_spec({"n": n, "lie_basis": basis})
+    entries = [e for m in spec.lie_basis for row in m for e in row]
+    assert set(entries) == {0, 1, 2}
+    assert len({id(e) for e in entries}) == 3
+
+
+def test_gauss_jordan_keeps_a_pivot_row_that_starts_with_one():
+    from diffgal.diffop import gauss_jordan
+
+    rows = [[Fraction(1), Fraction(2, 3)], [Fraction(0), Fraction(0)]]
+    reduced, pivots, det = gauss_jordan(rows, 2)
+    assert reduced == rows and pivots == [0] and det == 1
+    assert reduced[0][1] is rows[0][1]  # not rebuilt as a product by 1
+    reduced, pivots, det = gauss_jordan([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]], 2)
+    assert reduced == [[1, 0], [0, 1]] and det == -2

@@ -140,6 +140,60 @@ class TestCyclicVector:
             cyclic_vector(au, budget=0)
 
 
+class TestInvertibleByAValue:
+    """`cyclic_vector` proves det B != 0 by one value of B over Q and takes the
+    exact determinant only when that value is singular."""
+
+    @pytest.fixture
+    def det_calls(self, monkeypatch):
+        calls = []
+        det = FMatrix.det
+
+        def counting(self):
+            calls.append(self)
+            return det(self)
+
+        monkeypatch.setattr(FMatrix, "det", counting)
+        return calls
+
+    def test_a_regular_value_needs_no_determinant(self, det_calls):
+        assert inverse._invertible(FMatrix([[1, X], [0, 1 + X]]))
+        # poles at 0 and 1: the value is taken at -1
+        assert inverse._invertible(FMatrix([[1 / X, 0], [1, 1 / (X - 1)]]))
+        assert det_calls == []
+
+    def test_determinant_vanishing_at_the_first_point(self, det_calls):
+        assert inverse._invertible(FMatrix([[X, 1], [0, 1]]))
+        # det = x - 1, and 0 is a pole, so the value is taken at 1
+        assert inverse._invertible(FMatrix([[1 / X, 1], [1, X**2]]))
+        assert len(det_calls) == 2
+
+    def test_singular_matrix(self, det_calls):
+        assert not inverse._invertible(FMatrix([[X, 1 / X], [X**2, 1]]))
+        assert not inverse._invertible(FMatrix([[1, X], [0, 0]]))
+        assert len(det_calls) == 2
+
+    def test_choice_matches_the_exact_determinant(self, monkeypatch):
+        aus = [build_Au(golden_spec()), build_Au(GroupSpec(n=5, ideal_gens=[]).resolved())]
+        for n in (4, 5):
+            for basis in _subalgebra_shapes(n).values():
+                aus.append(build_Au(GroupSpec(n=n, lie_basis=basis).resolved()))
+
+        def outcomes():
+            out = []
+            for au in aus:
+                try:
+                    out.append(cyclic_vector(au))
+                except NoCyclicVectorFound as exc:
+                    out.append(str(exc))
+            return out
+
+        got = outcomes()
+        assert any(isinstance(o, tuple) for o in got)
+        monkeypatch.setattr(inverse, "_invertible", lambda b: not b.det().is_zero())
+        assert got == outcomes()
+
+
 class TestGRecursion:
     def setup_method(self):
         self.spec = golden_spec()

@@ -29,7 +29,7 @@ from .integrab import (
     infinity_integrable_in_Cx,
 )
 from .mpoly import MPoly
-from .parsing import MAX_DEPTH, parse_expr, parse_ratfunc
+from .parsing import MAX_DEPTH, _integer, parse_expr, parse_over_qx, parse_ratfunc
 from .ratfield import RatFunc, memo_scope
 from .tower import (Tower, TowerExpr, apply_operator, nested_solutions,
                     rows_satisfy_T_prime_eq_AT)
@@ -198,9 +198,12 @@ def _parse_tuple(text: str) -> list[RatFunc]:
     inner = text.strip()
     if inner.startswith("(") and inner.endswith(")"):
         inner = inner[1:-1]
-    parts = [p for p in inner.split(",") if p.strip()]
-    if not parts:
+    if not inner.strip():
         raise ParseError("empty tuple")
+    parts = inner.split(",")
+    for i, p in enumerate(parts, 1):
+        if not p.strip():
+            raise ParseError(f"tuple entry {i} is empty")
     return [parse_ratfunc(p) for p in parts]
 
 
@@ -249,7 +252,10 @@ def _standard_tower(field: str) -> Tower:
     elif field == "log":
         tower.add_log("L", RatFunc.x())
     elif field.startswith("radical:"):
-        tower.add_radical("r", int(field.split(":", 1)[1]))
+        root = field.split(":", 1)[1]
+        if not re.fullmatch("[0-9]+", root):
+            raise ParseError(f"field {field!r} needs a root of decimal digits")
+        tower.add_radical("r", _integer(root))
     else:
         raise ParseError(f"unknown field {field!r}")
     return tower
@@ -328,8 +334,7 @@ def _load_tower(path: str) -> tuple[Tower, dict]:
 
 
 def _parse_operator(text: str) -> SkewOp:
-    # Subexpressions free of D stay in Q(x); only those with D use skew products.
-    val = parse_expr(text, {"x": RatFunc.x(), "D": SkewOp.D()}, RatFunc.from_int)
+    val = parse_over_qx(text, {"D": SkewOp.D()})
     return val if isinstance(val, SkewOp) else SkewOp.const(val)
 
 

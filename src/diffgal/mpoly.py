@@ -590,6 +590,18 @@ class MRat:
             raise ZeroDivisionError("division by zero fraction")
         return MRat(self.num * other.den, self.den * other.num)
 
+    def __rtruediv__(self, other) -> "MRat":
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other / self
+
+    def __pow__(self, k: int) -> "MRat":
+        if k < 0:
+            return self.inverse() ** (-k)
+        # No step of `_shorten` applies to a power of a shortened fraction.
+        return MRat(self.num ** k, self.den ** k, normalize=False)
+
     def inverse(self) -> "MRat":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
@@ -637,8 +649,10 @@ def _shorten(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
     if any(common):
         num = MPoly(ring, {_mono_sub(m, common): c for m, c in num.terms.items()})
         den = MPoly(ring, {_mono_sub(m, common): c for m, c in den.terms.items()})
-    # Collapse exact divisions.
-    if not den.is_constant():
+    # Each variable of a single-term denominator is now missing from some term
+    # of the numerator, so the two share no factor: no exact division or gcd
+    # below could shorten the fraction.
+    if len(den.terms) > 1:
         q = num.exact_div(den)
         if q is not None:
             return q, ring.one()

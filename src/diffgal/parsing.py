@@ -1,10 +1,17 @@
 """Recursive-descent parser for the shared expression grammar.
 
 Grammar: integer literals, named atoms, `+ - * / ^`, parentheses.  `^` takes a
-nonnegative integer exponent.  The same parser serves rational functions
-(atom `x`), ideal generators (atoms `Z_i_j`), operators (atom `D`) and tower
-expressions (generator names), because all value types implement the ring
-operators.
+nonnegative integer exponent.  The same parser serves ideal generators (atoms
+`Z_i_j`) and, through `parse_over_qx`, rational functions (atom `x`),
+operators (atom `D`) and tower expressions (generator names), because all
+value types implement the ring operators.
+
+`parse_over_qx` computes each value in the smallest ring that holds it: `x`
+and the integer literals are Q[x] polynomials (`UPoly`), which stay
+polynomials under `+ - * ^` and under division by a nonzero constant, and
+become one `RatFunc` at a division by a non-constant.  A value enters an
+atom's ring (operators, fractions over a tower ring) only where it meets that
+atom.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ import re
 from typing import Callable, Mapping
 
 from .errors import ParseError
+from .ratfield import RatFunc, UPoly
 
 # Open parentheses plus pending unary signs; deeper input is a ParseError
 # rather than a RecursionError.
@@ -71,11 +79,13 @@ class _Parser:
     """Each rule returns (value, (a, b)), where a and b bound the degrees of a
     numerator and a denominator of the value in its atoms."""
 
-    def __init__(self, tokens, atoms: Mapping[str, object], const: Callable[[int], object]):
+    def __init__(self, tokens, atoms: Mapping[str, object], const: Callable[[int], object],
+                 check_divisor: Callable[[object], None]):
         self.tokens = tokens
         self.pos = 0
         self.atoms = atoms
         self.const = const
+        self.check_divisor = check_divisor
         self.depth = 0
         self.work = 0
 
@@ -138,7 +148,11 @@ class _Parser:
                 else:
                     a, b = _bounded("quotient", a + d, b + c)
                 try:
-                    v = v * rhs if val == "*" else v / rhs
+                    if val == "*":
+                        v = v * rhs
+                    else:
+                        self.check_divisor(rhs)
+                        v = v / rhs
                 except ArithmeticError as exc:  # division by zero or by a non-constant
                     raise ParseError(str(exc)) from exc
             else:
@@ -198,26 +212,41 @@ class _Shape:
 _SHAPE = _Shape()
 
 
-def parse_expr(text: str, atoms: Mapping[str, object], const: Callable[[int], object]):
+def _any_divisor(_) -> None:
+    """Leave every zero divisor to the values' own division."""
+
+
+def parse_expr(text: str, atoms: Mapping[str, object], const: Callable[[int], object],
+               check_divisor: Callable[[object], None] = _any_divisor):
     """Parse `text` over the given atom environment.
 
     A first pass reads only the syntax, the degrees and the work of the
     powers, so input over a bound is rejected before any arithmetic is done.
+    `check_divisor` sees each divisor before its division and raises a
+    `ZeroDivisionError` for one that is zero where the values' arithmetic
+    cannot tell.
     """
     if not isinstance(text, str):
         raise ParseError(f"expected an expression string, got {text!r}")
     tokens = tokenize(text)
     if not tokens:
         raise ParseError("empty expression")
-    shape = _Parser(tokens, dict.fromkeys(atoms, _SHAPE), lambda _: _SHAPE)
+    shape = _Parser(tokens, dict.fromkeys(atoms, _SHAPE), lambda _: _SHAPE, _any_divisor)
     shape.parse()
     if shape.work > MAX_POWER_DEGREE**2:
         raise ParseError(f"powers whose work exceeds one power of degree {MAX_POWER_DEGREE}")
-    return _Parser(tokens, atoms, const).parse()
+    return _Parser(tokens, atoms, const, check_divisor).parse()
 
 
-def parse_ratfunc(text: str):
+def parse_over_qx(text: str, atoms: Mapping[str, object] | None = None,
+                  check_divisor: Callable[[object], None] = _any_divisor):
+    """Parse `text` with `x` and the integer literals in Q[x], plus the given atoms.
+
+    The value is a `UPoly`, a `RatFunc` or a value of the atoms' own type.
+    """
+    return parse_expr(text, {"x": UPoly.x(), **(atoms or {})}, UPoly.const, check_divisor)
+
+
+def parse_ratfunc(text: str) -> RatFunc:
     """Parse a rational function in the variable x."""
-    from .ratfield import RatFunc
-
-    return parse_expr(text, {"x": RatFunc.x()}, RatFunc.from_int)
+    return RatFunc.coerce(parse_over_qx(text))

@@ -236,6 +236,20 @@ class UPoly:
                 base = _conv(base, base)
         return _make(out, d)
 
+    def __truediv__(self, other) -> "UPoly | RatFunc":
+        """The quotient in Q(x): a polynomial when `other` is a nonzero constant,
+        else one `RatFunc`."""
+        if isinstance(other, (int, Fraction)):
+            other = UPoly.const(other)
+        elif not isinstance(other, UPoly):
+            return NotImplemented
+        b = other.ints
+        if not b:
+            raise ZeroDivisionError("division by the zero rational function")
+        if len(b) == 1:
+            return _make([v * other.denom for v in self.ints], self.denom * b[0])
+        return RatFunc(self, other)
+
     def __divmod__(self, other: "UPoly") -> tuple["UPoly", "UPoly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -277,10 +291,17 @@ class UPoly:
         return _make([0] + [v * (m // i) for i, v in enumerate(a, 1)], self.denom * m)
 
     def eval(self, v: Fraction) -> Fraction:
-        out = _ZERO
-        for c in reversed(self.coeffs):
-            out = out * v + c
-        return out
+        """The value at v = p/q: Horner over the integers on q^deg * self(p/q),
+        then one `Fraction`."""
+        a = self.ints
+        if not a:
+            return _ZERO
+        p, q = v.numerator, v.denominator
+        acc, qk = 0, 1
+        for c in reversed(a):
+            acc = acc * p + c * qk
+            qk *= q
+        return Fraction(acc, self.denom * (qk // q))
 
     def gcd(self, other: "UPoly") -> "UPoly":
         """Monic gcd via a primitive PRS over Z (no rational blowup).

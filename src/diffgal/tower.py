@@ -17,7 +17,7 @@ from typing import Sequence
 from .diffop import FMatrix, SkewOp, build_Lf, check_nonzero  # noqa: F401
 from .errors import DegenerateGenerator, NotPolynomialInTheta, ZeroEntry
 from .mpoly import Derivation, MPoly, MRat, PolyRing, dense_inverse_mod, from_dense, to_dense
-from .parsing import MAX_POWER_DEGREE
+from .parsing import MAX_POWER_DEGREE, parse_over_qx
 from .ratfield import RatFunc
 
 
@@ -146,12 +146,21 @@ class Tower:
         raise KeyError(name)
 
     def parse(self, text: str) -> "TowerExpr":
-        from .parsing import parse_expr
+        """Parse an expression in x and the generator names.
 
-        atoms = {"x": self.x()}
-        for g in self.gens:
-            atoms[g.name] = self.gen_expr(g.name)
-        return parse_expr(text, atoms, lambda n: self.expr(n))
+        Scalars are computed over Q[x] or Q(x) and each generator is a fraction
+        over the tower ring, so the text becomes one `MRat`; radical reduction
+        and rationalisation run once, on that fraction.
+        """
+        atoms = {g.name: MRat.from_poly(self.ring.var(g.name)) for g in self.gens}
+        val = parse_over_qx(text, atoms, self._check_divisor)
+        return TowerExpr._wrap(self, val) if isinstance(val, MRat) else self.expr(val)
+
+    def _check_divisor(self, v) -> None:
+        """Raise on a divisor that is zero in the tower: a radical th^root - x is
+        zero only after reduction."""
+        if not (self.reduce_poly(v.num) if isinstance(v, MRat) else v):
+            raise ZeroDivisionError("division by zero tower expression")
 
     # -- radical reduction ---------------------------------------------------
 

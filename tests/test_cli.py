@@ -643,3 +643,41 @@ def test_one_independence_check_per_construct(capsys, spec_file, monkeypatch):
     code, _ = run_cli(capsys, "construct", "--spec", spec_file)
     assert code == 0
     assert calls == [3]
+
+
+class TestTupleEntries:
+    @pytest.mark.parametrize("text, entry", [("(x,,x)", 2), ("(x,)", 2), ("(,x)", 1), ("1, ,x", 2)])
+    def test_empty_entry_exit_2(self, capsys, text, entry):
+        assert main(["expand", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: tuple entry {entry} is empty\n"
+
+    @pytest.mark.parametrize("text, order", [("(1,x)", 2), ("(1, x-2)", 2), ("x, x", 2), ("(x)", 1)])
+    def test_full_tuples_unchanged(self, capsys, text, order):
+        code, rep = run_json(capsys, "expand", text)
+        assert code == 0
+        assert len(rep["outputs"]["solutions"]) == order
+
+
+class TestRadicalField:
+    @pytest.mark.parametrize("field", ["radical:3_0", "radical:٣", "radical:x", "radical:",
+                                       "radical: 3", "radical:+3", "radical:3.0"])
+    def test_root_not_decimal_digits_exit_2(self, capsys, field):
+        assert main(["integrate", "--field", field, "--expr", "r", "--depth", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: field {field!r} needs a root of decimal digits\n"
+
+    @pytest.mark.parametrize("root", ["2", "1000", "03"])
+    def test_decimal_roots_run(self, capsys, root):
+        code, rep = run_json(capsys, "integrate", "--field", f"radical:{root}",
+                             "--expr", "r", "--depth", "1")
+        assert code == 0 and rep["outputs"]["status"] == "integrable"
+
+    def test_root_above_bound_exit_2(self, capsys):
+        assert main(["integrate", "--field", "radical:1001", "--expr", "r", "--depth", "1"]) == 2
+        assert "at most 1000" in capsys.readouterr().err
+        assert main(["integrate", "--field", "radical:" + "9" * 5000, "--expr", "r",
+                     "--depth", "1"]) == 2
+        assert "too long" in capsys.readouterr().err

@@ -257,3 +257,19 @@ def test_sub_defers_to_the_other_operand():
 def test_floats_still_raise_type_error(op):
     with pytest.raises(TypeError):
         op(UPoly.x())
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_eval_at_fractional_and_negative_points(seed):
+    rng = random.Random(seed)
+    points = [Fraction(0), Fraction(-1), Fraction(-7, 3), Fraction(5, 12), Fraction(-10**20, 3)]
+    for _ in range(30):
+        a = rand_coeffs(rng, 7, rng.random() < 0.3)
+        pa = UPoly(a)
+        for v in points + [Fraction(rng.randint(-9, 9), rng.randint(1, 9))]:
+            got = pa.eval(v)
+            assert got == ref_eval(a, v) and type(got) is Fraction
+        assert pa.eval(-4) == ref_eval(a, Fraction(-4))
+    zero = UPoly.zero()
+    for v in points + [3]:
+        assert zero.eval(v) == 0 and type(zero.eval(v)) is Fraction

@@ -37,7 +37,6 @@ from .mpoly import (
     PolyRing,
     buchberger,
     is_groebner,
-    nilpotent_exp,
     normal_form,
 )
 from .diffop import (
@@ -101,7 +100,7 @@ __all__ = [
     "ZeroPolynomial", "RatFunc", "SimplePoleObstruction", "UPoly",
     "antiderivative_in_field", "derive_n", "hermite_reduce",
     "squarefree_part", "Derivation", "MPoly", "MRat", "PolyRing", "buchberger",
-    "is_groebner", "nilpotent_exp", "normal_form", "CompanionMatrix",
+    "is_groebner", "normal_form", "CompanionMatrix",
     "FMatrix", "SkewOp", "build_Lf", "companion_of", "factor_recursion",
     "gauge_transform", "monicize", "operator_of", "shape_matrix", "Generator", "Tower",
     "TowerExpr", "annihilator_of_iterated_integral", "apply_operator", "fundamental_T",

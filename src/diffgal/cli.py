@@ -267,7 +267,8 @@ def cmd_integrate(args, cfg: Config) -> int:
     if args.depth == "inf":
         depth = None
     else:
-        depth = int(args.depth)
+        # ASCII digits only: int() would also take "1_0", "+2", " 2" and other scripts' digits.
+        depth = _integer(args.depth) if re.fullmatch("[0-9]+", args.depth) else 0
         if not 1 <= depth <= MAX_DEPTH:
             raise ParseError(f"depth must be a positive integer at most {MAX_DEPTH} or 'inf'")
     field = args.field

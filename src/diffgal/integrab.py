@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from typing import Sequence
 
 from .errors import BudgetExceeded, NotPolynomialInTheta, NotSupported, ZeroEntry
@@ -191,11 +191,14 @@ def _rational_roots(p: UPoly) -> list[Fraction]:
     nums, dens = _divisors(ints[0]), _divisors(ints[-1])
     if 2 * len(nums) * len(dens) > _FACTOR_TRIAL_LIMIT:
         raise BudgetExceeded("rational root search budget exhausted")
+    # Each value is tested once, in lowest terms: a divisor's divisors come
+    # before it in `_divisors`, so the roots are found in the same order.
     for num in nums:
         for den in dens:
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if cand not in roots and _vanishes_at(ints, cand):
-                    roots.append(cand)
+            if gcd(num, den) == 1:
+                for cand in (Fraction(num, den), Fraction(-num, den)):
+                    if _vanishes_at(ints, cand):
+                        roots.append(cand)
     return roots
 
 

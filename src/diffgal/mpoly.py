@@ -3,16 +3,16 @@
 Polynomials are exponent-vector -> coefficient maps tied to a `PolyRing` that
 fixes the variable list, the coefficient field and the monomial order.  Both
 coefficient fields (`fractions.Fraction` and `RatFunc`) go through the same
-code paths; Buchberger's algorithm therefore runs verbatim over Q(x).
+code paths; Buchberger's algorithm therefore runs verbatim over Q(x), and so
+does the univariate Euclid (`_divmod`) that `MRat` and radical towers use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 from typing import Callable, Iterable, Sequence
 
-from .errors import BudgetExceeded, NotNilpotent, ZeroDenominator
+from .errors import BudgetExceeded, ZeroDenominator
 from .ratfield import RatFunc
 
 Monomial = tuple[int, ...]
@@ -460,45 +460,6 @@ class Derivation:
         return out
 
 
-def nilpotent_exp(x_mat: Sequence[Sequence[MPoly]]) -> list[list[MPoly]]:
-    """Exact exponential of a strictly upper-triangular matrix of polynomials:
-    1 + sum_{k >= 1} X^k / k!, where X^n = 0."""
-    n = len(x_mat)
-    if any(len(row) != n for row in x_mat):
-        raise ValueError("matrix must be square")
-    for i in range(n):
-        for j in range(i + 1):
-            if not x_mat[i][j].is_zero():
-                raise NotNilpotent(f"entry ({i + 1},{j + 1}) must be zero")
-    ring = x_mat[0][0].ring
-    out = [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)]
-    power = x_mat
-    for k in range(1, n):
-        if k > 1:
-            power = _mat_mul(power, x_mat, ring)
-        c = Fraction(1, factorial(k))
-        for i in range(n):
-            for j in range(n):
-                if power[i][j].terms:
-                    out[i][j] = out[i][j] + power[i][j].scale(c)
-    return out
-
-
-def _mat_mul(a, b, ring):
-    n = len(a)
-    m = len(b[0])
-    k = len(b)
-    out = [[ring.zero() for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            s = ring.zero()
-            for t in range(k):
-                if a[i][t].terms and b[t][j].terms:
-                    s = s + a[i][t] * b[t][j]
-            out[i][j] = s
-    return out
-
-
 class MRat:
     """Fraction of two `MPoly` over Q(x) coefficients.
 
@@ -685,98 +646,37 @@ def _single_var(p: MPoly, ring: PolyRing) -> int | None:
 
 
 def _cancel_univariate(num: MPoly, den: MPoly, i: int) -> tuple[MPoly, MPoly]:
-    """Cancel the gcd when both parts are univariate in the same variable."""
-    ring = num.ring
-    a, b = to_dense(num, i), to_dense(den, i)
-    g = dense_gcd(a, b, ring)
-    if len(g) <= 1:
-        return num, den
-    return (from_dense(dense_divmod(a, g, ring)[0], i, ring),
-            from_dense(dense_divmod(b, g, ring)[0], i, ring))
-
-
-# -- dense univariate polynomials over a field -----------------------------------
-#
-# Coefficient lists, lowest degree first, over the coefficient field of a
-# `PolyRing` (`Fraction` or `RatFunc`); the empty list is zero.  Results are
-# never scaled to be monic.
-
-
-def to_dense(p: MPoly, i: int) -> list:
-    """Coefficients of p, which involves no variable but the i-th."""
-    out = [p.ring.czero] * (p.degree_in(i) + 1)
-    for m, c in p.terms.items():
-        out[m[i]] = c
-    return out
-
-
-def from_dense(cs: Sequence, i: int, ring: PolyRing) -> MPoly:
-    """The polynomial sum_e cs[e] * (i-th variable)^e."""
-    zeros = (0,) * ring.nvars
-    return MPoly(ring, {zeros[:i] + (e,) + zeros[i + 1:]: c for e, c in enumerate(cs) if c})
-
-
-def dense_divmod(a: Sequence, b: Sequence, ring: PolyRing) -> tuple[list, list]:
-    """Quotient and remainder of a by a nonzero b; the remainder has no trailing zeros."""
-    r = _trim(list(a))
-    db = len(b) - 1
-    lead = b[-1]
-    q = [ring.czero] * max(1, len(r) - db)
-    while r and len(r) - 1 >= db:
-        f = r[-1] / lead
-        off = len(r) - 1 - db
-        q[off] = f
-        for k, c in enumerate(b):
-            r[off + k] = r[off + k] - f * c
-        _trim(r)
-    return q, r
-
-
-def dense_gcd(a: Sequence, b: Sequence, ring: PolyRing) -> list:
-    """A greatest common divisor by Euclid: the last nonzero remainder."""
-    a, b = _trim(list(a)), _trim(list(b))
+    """Cancel the gcd when both parts are univariate in the i-th variable."""
+    a, b = num, den
     while b:
-        a, b = b, dense_divmod(a, b, ring)[1]
-    return a
+        if not b.involves(i):  # a nonzero constant remainder: the gcd is 1
+            return num, den
+        a, b = b, _divmod(a, b)[1]
+    return _divmod(num, a)[0], _divmod(den, a)[0]
 
 
-def dense_inverse_mod(a: Sequence, m: Sequence, ring: PolyRing) -> list | None:
-    """The inverse of a modulo m, or None when gcd(a, m) is not a constant.
+def _divmod(a: MPoly, b: MPoly) -> tuple[MPoly, MPoly]:
+    """Quotient and remainder of a by a non-constant b, both univariate in the
+    same variable: one pass down the degrees of a, as `UPoly.__divmod__`."""
+    lmb = b.lm()
+    i = next(k for k, e in enumerate(lmb) if e)
+    db, lcb = lmb[i], b.terms[lmb]
+    rest = [(m[i] - db, c) for m, c in b.terms.items() if m != lmb]
+    r = {m[i]: c for m, c in a.terms.items()}
+    q = {}
+    for d in range(max(r, default=-1), db - 1, -1):
+        if d in r:
+            f = q[d - db] = r.pop(d) / lcb
+            for e, c in rest:
+                s = r.get(d + e)
+                v = -(f * c) if s is None else s - f * c
+                if v:
+                    r[d + e] = v
+                else:
+                    del r[d + e]
+    z = a.ring._zero_mono
 
-    Extended Euclid tracking only the cofactor of a; it stops at the first
-    constant remainder.  The result may carry trailing zeros.
-    """
-    r0, r1 = list(m), _trim(list(a))
-    s0, s1 = [ring.czero], [ring.cone]
-    while r1:
-        if len(r1) == 1:
-            inv = ring.cone / r1[0]
-            return [c * inv for c in s1]
-        q, r = dense_divmod(r0, r1, ring)
-        r0, r1 = r1, r
-        s0, s1 = s1, _dense_sub(s0, _dense_mul(q, s1, ring), ring)
-    return None
+    def poly(cs: dict) -> MPoly:
+        return MPoly(a.ring, {z[:i] + (e,) + z[i + 1:]: c for e, c in cs.items()})
 
-
-def _trim(p: list) -> list:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _dense_mul(a: Sequence, b: Sequence, ring: PolyRing) -> list:
-    if not a or not b:
-        return []
-    out = [ring.czero] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] = out[i + j] + ca * cb
-    return out
-
-
-def _dense_sub(a: Sequence, b: Sequence, ring: PolyRing) -> list:
-    z = ring.czero
-    return [(a[k] if k < len(a) else z) - (b[k] if k < len(b) else z)
-            for k in range(max(len(a), len(b)))]
+    return poly(q), poly(r)

@@ -16,7 +16,7 @@ from typing import Sequence
 # benchmark's span recorder traces it under this name.
 from .diffop import FMatrix, SkewOp, build_Lf, check_nonzero  # noqa: F401
 from .errors import DegenerateGenerator, NotPolynomialInTheta, ZeroEntry
-from .mpoly import Derivation, MPoly, MRat, PolyRing, dense_inverse_mod, from_dense, to_dense
+from .mpoly import Derivation, MPoly, MRat, PolyRing, _divmod
 from .parsing import MAX_POWER_DEGREE, parse_over_qx
 from .ratfield import RatFunc
 
@@ -47,6 +47,8 @@ class Tower:
 
     def __init__(self):
         self.gens: list[Generator] = []
+        # (index, root) of the one radical generator, set by add_radical.
+        self.radical: tuple[int, int] | None = None
         self.ring = PolyRing((), coeff="ratfunc")
         # The derivation of Q(x)[th_1, ..., th_k]; images may be fractions.
         self.derivation = Derivation(self.ring, [])
@@ -93,12 +95,12 @@ class Tower:
 
     def add_radical(self, name: str, root: int) -> "TowerExpr":
         """Adjoin th = x^(1/root) with th^root = x; only one per tower.  Rationalising
-        builds a modulus of root + 1 entries, so root is bounded like an exponent."""
+        divides th^root - x by a denominator, so root is bounded like an exponent."""
         if root < 2:
             raise DegenerateGenerator("radical root must be >= 2")
         if root > MAX_POWER_DEGREE:
             raise DegenerateGenerator(f"radical root must be at most {MAX_POWER_DEGREE}")
-        if any(g.kind == "radical" for g in self.gens):
+        if self.radical is not None:
             raise DegenerateGenerator("only one radical generator is supported")
         ring = self._new_ring(name)
         theta = ring.var(name)
@@ -106,6 +108,7 @@ class Tower:
         coeff = RatFunc.one() / (RatFunc.x() * root)
         image = MRat(theta.scale(coeff), ring.one())
         self.ring = ring
+        self.radical = (len(self.gens), root)
         return self._install(Generator(name, "radical", None, root=root), image)
 
     def add_integral(self, name: str, integrand) -> "TowerExpr":
@@ -166,49 +169,46 @@ class Tower:
 
     def reduce_poly(self, p: MPoly) -> MPoly:
         """Rewrite radical exponents modulo th^root = x (one radical at most)."""
-        for i, g in enumerate(self.gens):
-            if g.kind == "radical" and any(m[i] >= g.root for m in p.terms):
-                out = self.ring.zero()
-                for m, c in p.terms.items():
-                    q, r = divmod(m[i], g.root)
-                    mono = m[:i] + (r,) + m[i + 1:]
-                    out = out + MPoly(self.ring, {mono: c * RatFunc.x() ** q if q else c})
-                return out
-        return p
-
-
-def _has_radical(tower: Tower) -> bool:
-    return any(g.kind == "radical" for g in tower.gens)
+        if self.radical is None:
+            return p
+        i, root = self.radical
+        if all(m[i] < root for m in p.terms):
+            return p
+        out = self.ring.zero()
+        for m, c in p.terms.items():
+            q, r = divmod(m[i], root)
+            mono = m[:i] + (r,) + m[i + 1:]
+            out = out + MPoly(self.ring, {mono: c * RatFunc.x() ** q if q else c})
+        return out
 
 
 def _rationalize_radical(tower: Tower, num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
     """Clear a radical generator from a denominator that is univariate in it.
 
     th^root = x makes Q(x)[th]/(th^root - x) a field, so the inverse of the
-    denominator exists and is found by extended gcd over Q(x); multiplying
+    denominator exists and is found by extended Euclid over Q(x) against
+    th^root - x, tracking only the cofactor of the denominator; multiplying
     through leaves a th-free denominator (the canonical representation
     classification relies on).
     """
-    idx = None
-    root = 0
-    for i, g in enumerate(tower.gens):
-        if g.kind == "radical" and i < den.ring.nvars and den.involves(i):
-            idx = i
-            root = g.root
-            break
-    if idx is None:
+    if tower.radical is None or not den.involves(tower.radical[0]):
         return num, den
+    idx, root = tower.radical
     for m in den.terms:
         for k, e in enumerate(m):
             if e and k != idx:
                 return num, den  # mixed denominator: leave as a fraction
-    # modulus th^root - x
-    modulus = [-RatFunc.x()] + [RatFunc.zero()] * (root - 1) + [RatFunc.one()]
-    inv = dense_inverse_mod(to_dense(den, idx), modulus, den.ring)
-    if inv is None:
-        return num, den
-    inv_poly = from_dense(inv, idx, den.ring)
-    return tower.reduce_poly(num * inv_poly), tower.reduce_poly(den * inv_poly)
+    ring = den.ring
+    r0 = ring.var(ring.names[idx]) ** root - RatFunc.x()
+    r1, s0, s1 = den, ring.zero(), ring.one()
+    while r1:
+        if r1.is_constant():  # the first constant remainder: s1 * den = r1 mod th^root - x
+            inv = s1.scale(ring.cone / r1.constant_coeff())
+            return tower.reduce_poly(num * inv), tower.reduce_poly(den * inv)
+        q, r = _divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+    return num, den  # gcd(den, th^root - x) is not constant
 
 
 def _lift_poly(p: MPoly, ring: PolyRing) -> MPoly:
@@ -247,7 +247,7 @@ class TowerExpr:
     def _wrap(cls, tower: Tower, frac: MRat) -> "TowerExpr":
         """Wrap a fraction that `MRat` arithmetic normalised in tower.ring;
         only a radical generator calls for more."""
-        if _has_radical(tower):
+        if tower.radical is not None:
             return cls(tower, frac.num, frac.den)
         return cls._raw(tower, frac.num, frac.den)
 
@@ -371,7 +371,7 @@ def apply_operator(op: SkewOp, e: TowerExpr) -> TowerExpr:
     """Apply sum_i a_i D^i to a tower expression."""
     tower = e.tower
     deriv = tower.derivation
-    if e.den.is_constant() and deriv.den.is_constant() and not _has_radical(tower):
+    if e.den.is_constant() and deriv.den.is_constant() and tower.radical is None:
         # A polynomial stays one under a derivation with polynomial images:
         # derive and sum in the polynomial ring, with no fraction to normalise.
         ring = tower.ring

@@ -681,3 +681,32 @@ class TestRadicalField:
         assert main(["integrate", "--field", "radical:" + "9" * 5000, "--expr", "r",
                      "--depth", "1"]) == 2
         assert "too long" in capsys.readouterr().err
+
+
+class TestDepthDigits:
+    MESSAGE = "error: depth must be a positive integer at most 100 or 'inf'\n"
+
+    @pytest.mark.parametrize("depth", ["1_0", "٣", "+2", " 2", "2 ", "2\n", "-1", "0x3",
+                                       "", "0", "00", "101", "Inf", "1.0"])
+    def test_not_ascii_digits_in_range_exit_2(self, capsys, depth):
+        assert main(["integrate", "--field", "rational", "--expr", "x", "--depth", depth]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == self.MESSAGE
+
+    @pytest.mark.parametrize("depth, runs", [("1", 1), ("02", 2), ("100", 100)])
+    def test_ascii_digits_run(self, capsys, depth, runs):
+        code, rep = run_json(capsys, "integrate", "--field", "rational",
+                             "--expr", "x^2", "--depth", depth)
+        assert code == 0 and rep["inputs"]["depth"] == depth
+        # the witness of x^2 at depth n is 2 x^(n+2)/(n+2)!
+        assert f"x^{runs + 2}" in rep["outputs"]["witness"]
+
+    def test_inf_runs(self, capsys):
+        code, rep = run_json(capsys, "integrate", "--field", "exp", "--expr", "t", "--depth", "inf")
+        assert code == 0 and rep["outputs"]["status"] == "integrable"
+
+    def test_long_digit_string_exit_2(self, capsys):
+        assert main(["integrate", "--field", "rational", "--expr", "x",
+                     "--depth", "1" + "0" * 5000]) == 2
+        assert "too long" in capsys.readouterr().err

@@ -114,10 +114,16 @@ CASES = {
                                         "--expr", "(x+1)/(r+1)", "--depth", "2"], {}),
     "integrate_radical_obstruction": (["integrate", "--field", "radical:3",
                                        "--expr", "1/(r^2+1)", "--depth", "inf"], {}),
+    # Clearing this denominator modulo r^5 - x takes several Euclid steps.
+    "integrate_radical_euclid_steps": (["integrate", "--field", "radical:5",
+                                        "--expr", "(r^3+x)/(r^4-2*r+x^2)", "--depth", "3"], {}),
     "integrate_exp_slices": (["integrate", "--field", "exp",
                               "--expr", "(x^2 - 1)*t^2 + 3*t + x/t", "--depth", "3"], {}),
     "integrate_exp_obstruction": (["integrate", "--field", "exp",
                                    "--expr", "t/x", "--depth", "2"], {}),
+    # The reason prints the quotient after the univariate gcd cancels t + 1.
+    "integrate_exp_cancelled_quotient": (["integrate", "--field", "exp",
+                                          "--expr", "(x*t^2-x)/(t^2+2*t+1)", "--depth", "inf"], {}),
     "integrate_log_by_parts": (["integrate", "--field", "log",
                                 "--expr", "(x^2 + 1/x)*L^2 + L/x", "--depth", "3"], {}),
     "integrate_log_obstruction": (["integrate", "--field", "log",

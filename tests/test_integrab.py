@@ -157,6 +157,35 @@ class TestRationalLogParts:
         with pytest.raises(BudgetExceeded, match="rational root search"):
             integrab._rational_roots(p)
 
+    def test_root_candidates_in_lowest_terms(self, monkeypatch):
+        """Each value +-num/den is tested once, in lowest terms, and the roots come
+        in the order of a search over every pair of divisors."""
+        import random
+
+        import diffgal.integrab as integrab
+
+        def every_pair(p):
+            ints = integrab._primitive_int_list(p.ints)
+            roots = []
+            for num in integrab._divisors(ints[0]):
+                for den in integrab._divisors(ints[-1]):
+                    for cand in (Fraction(num, den), Fraction(-num, den)):
+                        if cand not in roots and real(ints, cand):
+                            roots.append(cand)
+            return roots
+
+        tested, real = [], integrab._vanishes_at
+        monkeypatch.setattr(integrab, "_vanishes_at", lambda c, v: tested.append(v) or real(c, v))
+        rng = random.Random(34)
+        for _ in range(40):
+            p = UPoly((rng.choice((1, 2, 3, 5)),))
+            for _ in range(rng.randint(1, 4)):
+                p = p * UPoly((rng.randint(-12, 12) or 1, rng.choice((1, 2, 3, 4, 6, 8, 9))))
+            tested.clear()
+            got = integrab._rational_roots(p)
+            assert len(tested) == len(set(tested))
+            assert got == every_pair(p)
+
 
 class TestElementaryWitness:
     def test_log_power_family(self):

@@ -1,4 +1,4 @@
-"""Groebner engine: Buchberger, normal forms, derivations and exp."""
+"""Groebner engine: Buchberger, normal forms, derivations and fractions."""
 
 from fractions import Fraction
 
@@ -13,7 +13,6 @@ from diffgal.mpoly import (
     PolyRing,
     buchberger,
     is_groebner,
-    nilpotent_exp,
     normal_form,
     spoly,
 )
@@ -192,70 +191,14 @@ class TestDerivation:
             assert normal_form(d.derive(g), gb).is_zero()
 
 
-class TestNilpotentExp:
-    def test_one_step(self):
-        ring = PolyRing(("x1",), coeff="rational")
-        x1 = ring.var("x1")
-        z = ring.zero()
-        e = nilpotent_exp([[z, x1], [z, z]])
-        assert e[0][0] == ring.one() and e[0][1] == x1 and e[1][1] == ring.one()
-
-    def test_two_step_golden(self):
-        ring = PolyRing(("x1", "x2"), coeff="rational")
-        x1, x2 = ring.gens()
-        z = ring.zero()
-        e = nilpotent_exp([[z, x1, z], [z, z, x2], [z, z, z]])
-        assert e[0][2] == (x1 * x2).scale(Fraction(1, 2))
-
-    def test_zero_matrix(self):
-        ring = PolyRing(("x1",), coeff="rational")
-        z = ring.zero()
-        e = nilpotent_exp([[z, z], [z, z]])
-        assert e[0][0] == ring.one() and e[0][1].is_zero()
-
-    def test_not_nilpotent(self):
-        ring = PolyRing(("x1",), coeff="rational")
-        x1 = ring.var("x1")
-        with pytest.raises(NotNilpotent):
-            nilpotent_exp([[x1, x1], [ring.zero(), ring.zero()]])
-
-    def test_exp_inverse(self):
-        ring = PolyRing(("x1", "x2", "x3"), coeff="rational")
-        x1, x2, x3 = ring.gens()
-        z = ring.zero()
-        mat = [[z, x1, x3], [z, z, x2], [z, z, z]]
-        neg = [[-e for e in row] for row in mat]
-        a = nilpotent_exp(mat)
-        b = nilpotent_exp(neg)
-        n = 3
-        for i in range(n):
-            for j in range(n):
-                acc = ring.zero()
-                for k in range(n):
-                    acc = acc + a[i][k] * b[k][j]
-                assert acc == (ring.one() if i == j else ring.zero())
-
-
 class TestNilpotentLog:
-    """`nilpotent_exp` against the log series kept as a test-side reference."""
+    """The log series kept as a test-side reference."""
 
     def generic(self, n):
         names = tuple(f"x{i}{j}" for i in range(n) for j in range(i + 1, n))
         ring = PolyRing(names, coeff="rational")
         z = ring.zero()
         return [[ring.var(f"x{i}{j}") if j > i else z for j in range(n)] for i in range(n)]
-
-    def test_two_step_golden(self):
-        u = nilpotent_exp(self.generic(3))
-        x = self.generic(3)
-        u[0][2] = x[0][2]
-        # log [[1, a, c], [0, 1, b], [0, 0, 1]] has corner c - ab/2
-        assert log_series(u)[0][2] == x[0][2] - (x[0][1] * x[1][2]).scale(Fraction(1, 2))
-
-    @pytest.mark.parametrize("n", [2, 4, 5])
-    def test_inverts_exp(self, n):
-        x = self.generic(n)
-        assert log_series(nilpotent_exp(x)) == x
 
     def test_not_unipotent(self):
         x = self.generic(2)

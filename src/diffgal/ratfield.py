@@ -9,6 +9,16 @@ so that equality is structural.  Hermite reduction and Yun squarefree
 decomposition make in-field integrability decidable without factoring
 denominators into irreducibles.
 
+Every reduction to lowest terms is one `UPoly.cofactors` call, which returns
+the monic gcd together with both quotients.  It runs the heuristic integer gcd
+(GCDHEU: evaluate at one integer xi, one `math.gcd`, read the gcd off the
+xi-adic digits), and accepts its answer only on two exact divisions that also
+give the cofactors; with xi >= 2 min(|a|, |b|) + 2 an accepted answer is the
+gcd (the proof is at `_heu_gcd`).  Above `_HEU_GCD_BITS` per evaluated
+integer, where the quadratic `math.gcd` costs more than it saves, and when no
+point certifies a gcd, the mod-p coprimality certificate and the primitive PRS
+answer instead.
+
 Inside a `memo_scope` the sums, products and derivatives of `RatFunc`s are
 memoized: each distinct one is computed once and read back after that.  The
 memo lives in a context variable, so it is private to the thread (and the
@@ -21,7 +31,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _igcd, lcm
+from math import gcd as _igcd, isqrt, lcm
 from typing import Iterable
 
 from .errors import ZeroDenominator, ZeroPolynomial
@@ -304,27 +314,50 @@ class UPoly:
         return Fraction(acc, self.denom * (qk // q))
 
     def gcd(self, other: "UPoly") -> "UPoly":
-        """Monic gcd via a primitive PRS over Z (no rational blowup).
+        """Monic gcd: the first field of `cofactors`, and gcd(p, 0) = p.monic().
 
-        A single mod-p Euclid proves coprimality cheaply first: the gcd mod p
-        can only be larger than the reduction of the true gcd, so degree 0
-        mod p certifies gcd 1 over Q.
+        The heuristic integer gcd answers below the cap `_HEU_GCD_BITS`, and
+        only what divides both primitive parts exactly at a point
+        xi >= 2 min(|a|, |b|) + 2, which is then the gcd (`_heu_gcd` has the
+        proof); above the cap, or when no point certifies, the mod-p
+        coprimality certificate and the primitive PRS answer.
         """
         if self.is_zero():
             return other.monic()
         if other.is_zero():
             return self.monic()
-        a = _primitive_int_list(self.ints)
-        b = _primitive_int_list(other.ints)
-        if len(a) < len(b):
-            a, b = b, a
-        if len(b) == 1 or _coprime_mod_p(a, b):
-            return _make([1], 1)
-        while True:
-            r = _int_prem(a, b)
-            if not r:
-                return _make(b, 1).monic()
-            a, b = b, _primitive_int_list(r)
+        return self.cofactors(other)[0]
+
+    def cofactors(self, other: "UPoly") -> tuple["UPoly", "UPoly", "UPoly"]:
+        """(g, self/g, other/g) with g the monic gcd of two nonzero polynomials.
+
+        The work runs on the primitive parts a, b over Z: the heuristic gcd
+        (`_heu_gcd`) when its evaluated integers stay under `_HEU_GCD_BITS`,
+        else, or when none of its points certifies a gcd, the mod-p
+        coprimality certificate and then the primitive PRS.  Either way the
+        gcd G (primitive, positive leading coefficient) divides a and b
+        exactly over Z, and those quotients give the cofactors.
+        """
+        if len(self.ints) == 1 or len(other.ints) == 1:
+            return _make([1], 1), self, other
+        ca, cb = _igcd(*self.ints), _igcd(*other.ints)
+        a = [v // ca for v in self.ints]
+        b = [v // cb for v in other.ints]
+        for xi in _heu_points(a, b):
+            found = _heu_gcd(a, b, xi)
+            if found is not None:
+                break
+        else:
+            g = _prs_gcd(a, b)
+            found = g, _int_exact_quo(a, g), _int_exact_quo(b, g)
+        g, qa, qb = found
+        if len(g) == 1:
+            return _make([1], 1), self, other
+        # self = ca*a/da = (ca*lc(G)*qa/da) * (G/lc(G)), and likewise for other.
+        lg = g[-1]
+        sa, sb = ca * lg, cb * lg
+        return (_make(g, lg), _make([v * sa for v in qa], self.denom),
+                _make([v * sb for v in qb], other.denom))
 
     def xgcd(self, other: "UPoly") -> tuple["UPoly", "UPoly", "UPoly"]:
         """Extended Euclid: (g, s, t) monic g with s*self + t*other = g."""
@@ -355,6 +388,123 @@ def _primitive_int_list(ints) -> list[int]:
     """Content-free coefficient list of nonzero integer coefficients."""
     g = _igcd(*ints)
     return [v // g for v in ints] if g != 1 else list(ints)
+
+
+# `_heu_points` offers no point at which an evaluated integer would exceed
+# this many bits, so `cofactors` runs the PRS there: `math.gcd` is quadratic
+# in the size, while the mod-p certificate that proves most such pairs coprime
+# is not.  Measured on a 2-core x86 host (Python 3.11): full U(18) `construct`
+# (gcds with common factors near 2^15 bits) took 25.7 s at a cap of 2^15 and
+# 1.4-1.6 s from 2^16 up; `integrate --field radical:1000` on
+# (r^2+1)/(x*r-2) took 10-12 s at every cap from 2^13 to 2^19 and ran past
+# 90 s at 2^20.  2^17 sits one doubling above the first and three below the
+# second.
+_HEU_GCD_BITS = 1 << 17
+# Evaluation points `cofactors` tries with `_heu_gcd` before the PRS.
+_HEU_GCD_POINTS = 6
+
+
+def _heu_points(a: list[int], b: list[int]):
+    """The evaluation points of `_heu_gcd` for a and b, smallest first.
+
+    The first is 2M + 2 with M = min(|a|, |b|) in the max norm, and each next
+    one is larger by about its own fourth root as a factor (the schedule of
+    sympy's dup_zz_heu_gcd).  There are at most `_HEU_GCD_POINTS`, and none at
+    which an evaluated integer would exceed `_HEU_GCD_BITS`.
+    """
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    size = max(len(a), len(b))
+    for _ in range(_HEU_GCD_POINTS):
+        if size * xi.bit_length() > _HEU_GCD_BITS:
+            return
+        yield xi
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+
+
+def _heu_gcd(a: list[int], b: list[int], xi: int):
+    """(G, a/G, b/G) with G the primitive gcd of a and b over Z, or None.
+
+    a and b are primitive and not constant, and xi >= 2M + 2 with
+    M = min(|a|, |b|) in the max norm.  This is one point of the heuristic
+    gcd of Char, Geddes and Gonnet (GCDHEU, J. Symbolic Comput. 7, 1989):
+    take gamma = gcd(a(xi), b(xi)) in C, read H off the symmetric xi-adic
+    digits of gamma (each in (-xi/2, xi/2]), and let G = pp(H), whose leading
+    coefficient is positive like gamma's.  G is returned only when it divides
+    both a and b over Z, with the two quotients; else None.
+
+    A returned G is the gcd g (primitive, positive leading coefficient); no
+    step is probabilistic.  Every root of a polynomial lies strictly inside
+    its Cauchy bound, here 1 + M <= xi/2 for a common root, so a(xi) and b(xi)
+    are not both 0 and gamma != 0.  As G divides a and b it divides g:
+    g = G*k with k in Z[x].  g(xi) divides gamma = cont(H)*G(xi), and
+    G(xi) != 0, so k(xi) divides cont(H), which divides every digit of H:
+    |k(xi)| <= xi/2.  Every root of k is a common root of a and b, so a k of
+    degree d >= 1 has |k(xi)| > (xi - xi/2)^d >= xi/2.  Hence k is a
+    constant, and k = 1 as G and g are both primitive with positive leading
+    coefficients.  A constant H (G = 1, which divides everything) is the
+    case k = g: the gcd is 1.
+    """
+    gamma = _igcd(_int_eval(a, xi), _int_eval(b, xi))
+    h = []
+    half = xi >> 1
+    while gamma:
+        d = gamma % xi
+        if d > half:
+            d -= xi
+        h.append(d)
+        gamma = (gamma - d) // xi
+    if len(h) == 1:
+        return [1], a, b
+    h = _primitive_int_list(h)
+    qa = _int_exact_quo(a, h)
+    if qa is None:
+        return None
+    qb = _int_exact_quo(b, h)
+    if qb is None:
+        return None
+    return h, qa, qb
+
+
+def _int_eval(a: list[int], v: int) -> int:
+    """a(v) for an integer v, by Horner."""
+    acc = 0
+    for c in reversed(a):
+        acc = acc * v + c
+    return acc
+
+
+def _int_exact_quo(a: list[int], b: list[int]) -> list[int] | None:
+    """a / b over Z when b divides a there, else None (b is not zero)."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return None
+    lb = b[-1]
+    r = list(a)
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c, m = divmod(r[k + db], lb)
+        if m:
+            return None
+        q[k] = c
+        if c:
+            for j in range(db):
+                r[k + j] -= c * b[j]
+    return q if not any(r[:db]) else None
+
+
+def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of primitive non-constant a and b over Z, positive
+    leading coefficient: 1 at once when the mod-p certificate proves them
+    coprime, else the primitive PRS."""
+    if len(a) < len(b):
+        a, b = b, a
+    if _coprime_mod_p(a, b):
+        return [1]
+    while True:
+        r = _int_prem(a, b)
+        if not r:
+            return b if b[-1] > 0 else [-v for v in b]
+        a, b = b, _primitive_int_list(r)
 
 
 _GCD_PRIME = (1 << 61) - 1
@@ -467,10 +617,7 @@ class RatFunc:
             self.num = num
             self.den = den
             return
-        g = num.gcd(den)
-        if g.degree > 0:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
+        _, num, den = num.cofactors(den)
         lc = den.lc
         if lc != 1:
             inv = 1 / lc
@@ -583,21 +730,13 @@ class RatFunc:
         if d1.degree == 0 and d2.degree == 0:
             s = n1 + n2
             return RatFunc._raw(s, UPoly.one()) if not s.is_zero() else RatFunc._raw(UPoly.zero(), UPoly.one())
-        g = d1.gcd(d2)
-        if g.degree == 0:
-            num = n1 * d2 + n2 * d1
-            if num.is_zero():
-                return RatFunc._raw(UPoly.zero(), UPoly.one())
-            return RatFunc._raw(num, d1 * d2)
-        d1r = d1.exact_div(g)
-        d2r = d2.exact_div(g)
+        g, d1r, d2r = d1.cofactors(d2)
         t = n1 * d2r + n2 * d1r
         if t.is_zero():
             return RatFunc._raw(UPoly.zero(), UPoly.one())
-        g2 = t.gcd(g)
-        if g2.degree > 0:
-            t = t.exact_div(g2)
-            g = g.exact_div(g2)
+        if g.degree == 0:
+            return RatFunc._raw(t, d1 * d2)
+        _, t, g = t.cofactors(g)
         return RatFunc._raw(t, d1r * d2r * g)
 
     __radd__ = __add__
@@ -631,14 +770,10 @@ class RatFunc:
     def _mul(self, other: "RatFunc") -> "RatFunc":
         n1, d1 = self.num, self.den
         n2, d2 = other.num, other.den
-        g1 = n1.gcd(d2) if d2.degree > 0 else UPoly.one()
-        g2 = n2.gcd(d1) if d1.degree > 0 else UPoly.one()
-        if g1.degree > 0:
-            n1 = n1.exact_div(g1)
-            d2 = d2.exact_div(g1)
-        if g2.degree > 0:
-            n2 = n2.exact_div(g2)
-            d1 = d1.exact_div(g2)
+        if d2.degree > 0:
+            _, n1, d2 = n1.cofactors(d2)
+        if d1.degree > 0:
+            _, n2, d1 = n2.cofactors(d1)
         return RatFunc._raw(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
@@ -685,15 +820,12 @@ class RatFunc:
         n, d = self.num, self.den
         if d.degree == 0:
             return RatFunc._raw(n.derivative(), d)
-        dd = d.derivative()
-        g = d.gcd(dd)
+        g, dr, ddr = d.cofactors(d.derivative())
+        num = n.derivative() * dr - n * ddr
         if g.degree == 0:
-            num = n.derivative() * d - n * dd
             if num.is_zero():
                 return RatFunc._raw(UPoly.zero(), UPoly.one())
             return RatFunc._raw(num, d * d)
-        dr = d.exact_div(g)
-        num = n.derivative() * dr - n * dd.exact_div(g)
         return RatFunc(num, d * dr)
 
     def split(self) -> tuple[UPoly, "RatFunc"]:
@@ -738,20 +870,20 @@ def squarefree_part(p: UPoly) -> list[tuple[UPoly, int]]:
     p = p.monic()
     if p.degree == 0:
         return []
-    dp = p.derivative()
-    g = p.gcd(dp)
+    g, c, d = p.cofactors(p.derivative())
     if g.degree == 0:
         return [(p, 1)]
     out: list[tuple[UPoly, int]] = []
-    c = p.exact_div(g)
-    d = dp.exact_div(g) - c.derivative()
+    d = d - c.derivative()
     i = 1
     while c.degree > 0:
-        a = c.gcd(d)
+        if d.is_zero():  # c is the factor of multiplicity i, the last one
+            out.append((c.monic(), i))
+            break
+        a, c, d = c.cofactors(d)
         if a.degree > 0:
-            out.append((a.monic(), i))
-            c = c.exact_div(a)
-        d = d.exact_div(a) - c.derivative()
+            out.append((a, i))
+        d = d - c.derivative()
         i += 1
     return out
 
@@ -776,11 +908,11 @@ def hermite_reduce(g: RatFunc) -> tuple[RatFunc, RatFunc]:
     a = proper.num
     d = proper.den
     h = RatFunc.zero()
-    dm = d.gcd(d.derivative())
-    ds = d.exact_div(dm)
+    dm, ds = UPoly.one(), d
+    if d.degree > 0:
+        dm, ds, _ = d.cofactors(d.derivative())
     while dm.degree > 0:
-        dm2 = dm.gcd(dm.derivative())
-        dms = dm.exact_div(dm2)
+        dm2, dms, _ = dm.cofactors(dm.derivative())
         # -(D* * Dm') / Dm is a polynomial coprime to Dm*.
         t = -(ds * dm.derivative()).exact_div(dm)
         b, c = _diophantine(t, dms, a)

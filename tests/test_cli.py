@@ -209,6 +209,15 @@ class TestIntegrate:
         assert main(["integrate", "--field", "radical:1000000000",
                      "--expr", "1/(r+1)", "--depth", "1"]) == 2
 
+    def test_rationalized_radical_denominator_answers_fast(self, capsys):
+        # Rationalizing this denominator reduces many Q(x) sums to lowest terms;
+        # with the PRS behind every one of them it took 20-26 s.
+        started = time.monotonic()
+        code, rep = run_json(capsys, "integrate", "--field", "radical:40",
+                             "--expr", "(r^3+x)/(r^4-2*r+x^2)", "--depth", "1")
+        assert code == 1 and rep["outputs"]["status"] == "not_integrable"
+        assert time.monotonic() - started < 5
+
     def test_root_search_budget_exit_3(self, capsys, monkeypatch):
         import diffgal.integrab as integrab
 

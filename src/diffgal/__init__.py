@@ -6,12 +6,10 @@ from .errors import (
     BudgetExceeded,
     DegenerateGenerator,
     DegenerateRecursion,
-    DependentSolutions,
     DiffgalError,
     InconsistentSpec,
     NoCyclicVectorFound,
     NotMonic,
-    NotNilpotent,
     NotPolynomialInTheta,
     NotReducedToBase,
     NotSupported,
@@ -23,9 +21,7 @@ from .errors import (
 )
 from .ratfield import (
     RatFunc,
-    SimplePoleObstruction,
     UPoly,
-    antiderivative_in_field,
     derive_n,
     hermite_reduce,
     squarefree_part,
@@ -45,7 +41,6 @@ from .diffop import (
     SkewOp,
     build_Lf,
     companion_of,
-    factor_recursion,
     gauge_transform,
     monicize,
     operator_of,
@@ -55,7 +50,6 @@ from .tower import (
     Generator,
     Tower,
     TowerExpr,
-    annihilator_of_iterated_integral,
     apply_operator,
     fundamental_T,
     laurent_normal,
@@ -77,16 +71,11 @@ from .inverse import (
 )
 from .integrab import (
     IntegrabilityVerdict,
-    LiouvilleForm,
     classify_exp,
     classify_log,
     classify_radical,
     elementary_n_witness,
     infinity_integrable_in_Cx,
-    liouville_classic_check,
-    liouville_constant_form_check,
-    n_integrable_in_Cx,
-    verify_liouville_form,
 )
 from .parsing import parse_expr, parse_ratfunc
 
@@ -94,21 +83,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BadSpec", "BudgetExceeded", "DegenerateGenerator", "DegenerateRecursion",
-    "DependentSolutions", "DiffgalError", "InconsistentSpec", "NoCyclicVectorFound",
-    "NotMonic", "NotNilpotent", "NotPolynomialInTheta", "NotReducedToBase",
-    "NotSupported", "ParseError", "SingularGauge", "ZeroDenominator", "ZeroEntry",
-    "ZeroPolynomial", "RatFunc", "SimplePoleObstruction", "UPoly",
-    "antiderivative_in_field", "derive_n", "hermite_reduce",
-    "squarefree_part", "Derivation", "MPoly", "MRat", "PolyRing", "buchberger",
-    "is_groebner", "normal_form", "CompanionMatrix",
-    "FMatrix", "SkewOp", "build_Lf", "companion_of", "factor_recursion",
-    "gauge_transform", "monicize", "operator_of", "shape_matrix", "Generator", "Tower",
-    "TowerExpr", "annihilator_of_iterated_integral", "apply_operator", "fundamental_T",
-    "laurent_normal", "nested_solutions", "GroupSpec", "PipelineResult",
-    "VerificationReport", "build_Au", "cyclic_vector", "default_a_choices",
-    "g_recursion", "ideal_from_lie", "lie_from_ideal", "reduce_to_F", "run_pipeline",
-    "z_ring", "IntegrabilityVerdict", "LiouvilleForm", "classify_exp", "classify_log",
-    "classify_radical", "elementary_n_witness", "infinity_integrable_in_Cx",
-    "liouville_classic_check", "liouville_constant_form_check", "n_integrable_in_Cx",
-    "verify_liouville_form", "parse_expr", "parse_ratfunc",
+    "DiffgalError", "InconsistentSpec", "NoCyclicVectorFound", "NotMonic",
+    "NotPolynomialInTheta", "NotReducedToBase", "NotSupported", "ParseError",
+    "SingularGauge", "ZeroDenominator", "ZeroEntry", "ZeroPolynomial", "RatFunc",
+    "UPoly", "derive_n", "hermite_reduce", "squarefree_part", "Derivation", "MPoly",
+    "MRat", "PolyRing", "buchberger", "is_groebner", "normal_form",
+    "CompanionMatrix", "FMatrix", "SkewOp", "build_Lf", "companion_of",
+    "gauge_transform", "monicize", "operator_of", "shape_matrix", "Generator",
+    "Tower", "TowerExpr", "apply_operator", "fundamental_T", "laurent_normal",
+    "nested_solutions", "GroupSpec", "PipelineResult", "VerificationReport",
+    "build_Au", "cyclic_vector", "default_a_choices", "g_recursion",
+    "ideal_from_lie", "lie_from_ideal", "reduce_to_F", "run_pipeline", "z_ring",
+    "IntegrabilityVerdict", "classify_exp", "classify_log", "classify_radical",
+    "elementary_n_witness", "infinity_integrable_in_Cx", "parse_expr",
+    "parse_ratfunc",
 ]

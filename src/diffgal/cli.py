@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import inverse
-from .diffop import FMatrix, SkewOp, build_Lf, monicize, shape_matrix
+from .diffop import FMatrix, SkewOp, build_Lf, shape_matrix
 from .errors import BudgetExceeded, DiffgalError, NotSupported, ParseError
 from .integrab import (
     IntegrabilityVerdict,
@@ -419,11 +419,7 @@ def cmd_selftest(args, cfg: Config) -> int:
         and not classify_exp(t / tw.x()).is_integrable
     )
 
-    for name, ok in results.items():
-        print(f"{name}: {'PASS' if ok else 'FAIL'}")
-    report = _report("selftest", {}, {k: bool(v) for k, v in results.items()}, started)
-    if cfg.output_format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+    _emit(_report("selftest", {}, {k: bool(v) for k, v in results.items()}, started), cfg)
     return 0 if all(results.values()) else 1
 
 

@@ -1,8 +1,9 @@
 """The skew ring Q(x)[D] with D*f = f*D + f', and matrices over Q(x).
 
 Products expand through the commutation rule D^i f = sum_k C(i,k) f^(k) D^(i-k),
-so operator composition is exact.  Matrix utilities (inverse, gauge transform,
-companion conversions) back the cyclic-vector pipeline.
+so operator composition is exact.  Exact Gauss-Jordan elimination, the
+determinant and the companion matrix back the cyclic-vector pipeline; the
+inverse and the gauge transform are library API.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-from .errors import DependentSolutions, NotMonic, SingularGauge, ZeroEntry
-from .ratfield import RatFunc, derive_n
+from .errors import NotMonic, SingularGauge, ZeroEntry
+from .ratfield import RatFunc
 
 
 class SkewOp:
@@ -164,16 +165,6 @@ class SkewOp:
         if self.is_zero():
             raise NotMonic("the zero operator cannot be made monic")
         return self / SkewOp.const(self.coeffs[-1])
-
-    def apply_ratfunc(self, f: RatFunc) -> RatFunc:
-        """Apply to an element of Q(x)."""
-        out = RatFunc.zero()
-        d = f
-        for c in self.coeffs:
-            if not c.is_zero():
-                out = out + c * d
-            d = d.derive()
-        return out
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -411,50 +402,13 @@ class CompanionMatrix:
         return FMatrix(rows)
 
 
-def companion_of(op: SkewOp, n: int | None = None) -> CompanionMatrix:
+def companion_of(op: SkewOp) -> CompanionMatrix:
     """Companion matrix of a monic operator."""
     if not op.is_monic():
         raise NotMonic(f"operator {op} is not monic")
-    if n is not None and op.order != n:
-        raise ValueError(f"operator has order {op.order}, expected {n}")
     return CompanionMatrix(tuple(op.coeff(i) for i in range(op.order)))
 
 
 def operator_of(c: CompanionMatrix) -> SkewOp:
     """Monic operator with the given companion matrix."""
     return SkewOp(tuple(c.coeffs) + (RatFunc.one(),))
-
-
-def factor_recursion(solutions: Sequence) -> tuple[tuple[RatFunc, ...], RatFunc]:
-    """Recover (f_1..f_n, f_{n+1}) from a solution basis in a tower.
-
-    Implements f_{n+1} = 1/v_1 and the nested recursion
-    f_{n-i} = 1/(f_{n-(i-1)}( ... (f_{n+1} v_{i+2})' ... )')'.
-    The solutions may be any objects with derive()/inverse()/as_ratfunc().
-    """
-    vs = list(solutions)
-    n = len(vs)
-    if n == 0:
-        raise ZeroEntry("need at least one solution")
-    if vs[0].is_zero():
-        raise DependentSolutions("v_1 = 0")
-    f_next = _to_ratfunc(vs[0].inverse(), "f_{n+1}")
-    fs: dict[int, RatFunc] = {}
-    for j in range(2, n + 1):
-        u = (vs[j - 1] * f_next).derive()
-        for i in range(n, n - j + 2, -1):
-            u = (u * fs[i]).derive()
-        if u.is_zero():
-            raise DependentSolutions(f"recursion denominator vanished at v_{j}")
-        fs[n - j + 2] = RatFunc.one() / _to_ratfunc(u, f"f_{n - j + 2} denominator")
-    rest = tuple(fs[i] for i in range(2, n + 1))
-    return monicize(rest), f_next
-
-
-def _to_ratfunc(e, what: str) -> RatFunc:
-    if isinstance(e, RatFunc):
-        return e
-    try:
-        return e.as_ratfunc()
-    except Exception as exc:
-        raise DependentSolutions(f"{what} does not lie in Q(x): {e}") from exc

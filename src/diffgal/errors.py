@@ -25,16 +25,8 @@ class NotMonic(DiffgalError):
     """The operator must be monic."""
 
 
-class NotNilpotent(DiffgalError):
-    """The matrix must be strictly upper triangular."""
-
-
 class SingularGauge(DiffgalError):
     """The gauge matrix is not invertible over the base field."""
-
-
-class DependentSolutions(DiffgalError):
-    """A recursion denominator vanished; the inputs are linearly dependent."""
 
 
 class DegenerateRecursion(DiffgalError):

@@ -1,10 +1,10 @@
 """Integrability deciders and witness generators over Q(x) and its towers.
 
-Covers: the classical Liouville identity check, the generalized identity with
-polynomial log-coefficients, in-field n- and infinity-integrability of rational
-functions, construction of elementary n-th antiderivatives with logarithms of
-squarefree factors, and the infinity-integrability classifiers for the
-exp-, log- and radical towers (with witnesses for finite depths).
+Covers: infinity-integrability of rational functions, construction of
+elementary n-th antiderivatives with logarithms of squarefree factors, and the
+infinity-integrability classifiers for the exp-, log- and radical towers (with
+witnesses for finite depths).  Every witness is checked by differentiating it
+back to the input.
 
 Residues are only split over Q; inputs that need algebraic constants raise
 NotSupported rather than returning wrong answers.
@@ -14,83 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
-from typing import Sequence
+from math import gcd
 
-from .errors import BudgetExceeded, NotPolynomialInTheta, NotSupported, ZeroEntry
-from .ratfield import (
-    RatFunc,
-    SimplePoleObstruction,
-    UPoly,
-    _primitive_int_list,
-    antiderivative_in_field,
-    derive_n,
-    hermite_reduce,
-    resultant,
-)
+from .errors import BudgetExceeded, NotPolynomialInTheta, NotSupported
+from .ratfield import RatFunc, UPoly, _primitive_int_list, hermite_reduce, resultant
 from .tower import Tower, TowerExpr, laurent_normal
 
 _FACTOR_TRIAL_LIMIT = 1_000_000
-
-
-@dataclass
-class LiouvilleForm:
-    """Data of the generalized Liouville identity: g = (f + sum f_i log u_i)^(n)."""
-
-    n: int
-    f: RatFunc
-    terms: list[tuple[UPoly, RatFunc]]  # (f_i polynomial of degree <= n-1, u_i nonzero)
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        for fi, ui in self.terms:
-            if fi.degree > self.n - 1:
-                raise ValueError(f"deg {fi} exceeds n-1 = {self.n - 1}")
-            if ui.is_zero():
-                raise ZeroEntry("u_i must be nonzero")
-
-
-def verify_liouville_form(g: RatFunc, form: LiouvilleForm) -> bool:
-    """Exact check of g = f^(n) + sum_i sum_j C(n,j) f_i^(n-j) (u_i'/u_i)^(j-1).
-
-    This is the n-th derivative of f + sum f_i log(u_i) with deg f_i < n, so
-    the binomial weights are forced; they make the 1/x identity of the
-    log-power witnesses come out exactly.
-    """
-    n = form.n
-    acc = derive_n(form.f, n)
-    for fi, ui in form.terms:
-        dlog = ui.derive() / ui
-        fi_r = RatFunc(fi)
-        for j in range(1, n + 1):
-            acc = acc + derive_n(fi_r, n - j) * derive_n(dlog, j - 1) * comb(n, j)
-    return acc == g
-
-
-def liouville_classic_check(g: RatFunc, v: RatFunc,
-                            cu: Sequence[tuple[Fraction, RatFunc]]) -> bool:
-    """Classical Liouville shape: g = v' + sum c_i u_i'/u_i."""
-    acc = v.derive()
-    for c, u in cu:
-        if u.is_zero():
-            raise ZeroEntry("u_i must be nonzero")
-        acc = acc + u.derive() / u * RatFunc.from_fraction(Fraction(c))
-    return acc == g
-
-
-def liouville_constant_form_check(g: TowerExpr, c: Fraction, f: TowerExpr,
-                                  cu: Sequence[tuple[Fraction, TowerExpr]],
-                                  n: int) -> bool:
-    """Form verifier for the no-unit-derivative case:
-    g = c + f^(n) + sum c_i (u_i'/u_i)^(n-1), checked inside a declared tower."""
-    tower = g.tower
-    acc = tower.expr(Fraction(c)) + f.derive_n(n)
-    for ci, ui in cu:
-        if ui.is_zero():
-            raise ZeroEntry("u_i must be nonzero")
-        acc = acc + (ui.derive() / ui).derive_n(n - 1) * Fraction(ci)
-    return (acc - g).is_zero()
 
 
 @dataclass
@@ -119,20 +49,6 @@ class IntegrabilityVerdict:
     @classmethod
     def not_supported(cls, reason: str) -> "IntegrabilityVerdict":
         return cls("not_supported", reason=reason)
-
-
-def n_integrable_in_Cx(g: RatFunc, n: int) -> IntegrabilityVerdict:
-    """Does g have an n-th antiderivative inside Q(x)?  Witness or first
-    obstruction with its step index."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    h = g
-    for step in range(1, n + 1):
-        res = antiderivative_in_field(h)
-        if isinstance(res, SimplePoleObstruction):
-            return IntegrabilityVerdict.not_integrable(obstruction=res, step=step)
-        h = res
-    return IntegrabilityVerdict.integrable(witness=h)
 
 
 def infinity_integrable_in_Cx(g: RatFunc) -> IntegrabilityVerdict:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _igcd, isqrt, lcm
 from typing import Iterable
@@ -922,29 +921,6 @@ def hermite_reduce(g: RatFunc) -> tuple[RatFunc, RatFunc]:
     polyq, polyr = divmod(a, ds)
     rest = RatFunc((polypart + polyq) * ds + polyr, ds)
     return h, rest
-
-
-@dataclass(frozen=True)
-class SimplePoleObstruction:
-    """Nonzero squarefree proper remainder blocking an in-field antiderivative."""
-
-    residual: RatFunc
-
-    def __str__(self) -> str:
-        return f"no antiderivative in Q(x): residual {self.residual}"
-
-
-def antiderivative_in_field(g: RatFunc) -> RatFunc | SimplePoleObstruction:
-    """Return h in Q(x) with h' = g, or the obstruction to its existence.
-
-    h exists exactly when the squarefree proper remainder of the Hermite
-    reduction vanishes.
-    """
-    h, rest = hermite_reduce(g)
-    polypart, proper = rest.split()
-    if proper.is_zero():
-        return h + RatFunc(polypart.integral())
-    return SimplePoleObstruction(proper)
 
 
 def resultant(f: UPoly, g: UPoly) -> Fraction:

@@ -463,16 +463,6 @@ def rows_satisfy_T_prime_eq_AT(a: FMatrix, t: Sequence[Sequence[TowerExpr]]) -> 
     return [all(entry_ok(i, j) for j in range(n)) for i in range(n)]
 
 
-def annihilator_of_iterated_integral(f: RatFunc, n: int) -> SkewOp:
-    """Monic operator D^(n+1) - (f'/f) D^n annihilating 1, x, ..., x^(n-1)
-    and every eta with eta^(n) = f."""
-    f = RatFunc.coerce(f)
-    if f.is_zero():
-        raise ZeroEntry("f must be nonzero")
-    coeffs = [RatFunc.zero()] * n + [-(f.derive() / f), RatFunc.one()]
-    return SkewOp(coeffs)
-
-
 def laurent_normal(e: TowerExpr, name: "str | Generator") -> dict[int, TowerExpr]:
     """Coefficient map of e as a polynomial in the named generator.
 

@@ -528,7 +528,15 @@ class TestConfigAndSelftest:
     def test_selftest_passes(self, capsys):
         code, out = run_cli(capsys, "--format", "text", "selftest")
         assert code == 0
-        assert "FAIL" not in out
+        assert "False" not in out and out.count(": True") == 5
+
+    def test_selftest_prints_one_json_report(self, capsys):
+        code, report = run_json(capsys, "selftest")
+        assert code == 0
+        assert report["command"] == "selftest" and report["inputs"] == {}
+        assert report["outputs"] == dict.fromkeys(
+            ("exp_classifier", "full_u3", "log_power_identity", "stable_rational",
+             "unipotent_3x3_golden"), True)
 
     def test_config_file(self, capsys, tmp_path, spec_file):
         cfg = tmp_path / "cfg.json"

@@ -1,4 +1,4 @@
-"""Integrability deciders, Liouville identity checks, classifier oracles."""
+"""Integrability deciders, elementary witnesses, classifier oracles."""
 
 from fractions import Fraction
 
@@ -8,19 +8,14 @@ from conftest import rand_ratfunc
 from diffgal.errors import BudgetExceeded, NotSupported
 from diffgal.integrab import (
     IntegrabilityVerdict,
-    LiouvilleForm,
     classify_exp,
     classify_log,
     classify_radical,
     elementary_n_witness,
     infinity_integrable_in_Cx,
-    liouville_classic_check,
-    liouville_constant_form_check,
-    n_integrable_in_Cx,
     rational_log_parts,
-    verify_liouville_form,
 )
-from diffgal.ratfield import RatFunc, SimplePoleObstruction, UPoly, derive_n
+from diffgal.ratfield import RatFunc, UPoly
 from diffgal.tower import Tower, laurent_normal
 
 X = RatFunc.x()
@@ -31,89 +26,6 @@ def factorial(n):
     for k in range(2, n + 1):
         out *= k
     return out
-
-
-class TestLiouvilleForms:
-    def test_log_power_identity_all_n(self):
-        for n in range(1, 7):
-            f1 = UPoly.monomial(Fraction(1, factorial(n - 1)), n - 1)
-            form = LiouvilleForm(n=n, f=RatFunc.zero(), terms=[(f1, X)])
-            assert verify_liouville_form(1 / X, form)
-
-    def test_pure_nth_derivative(self):
-        f = (X**2 + 3) / (X - 1)
-        for n in (1, 2, 3):
-            form = LiouvilleForm(n=n, f=f, terms=[])
-            assert verify_liouville_form(derive_n(f, n), form)
-
-    def test_perturbation_fails(self):
-        n = 3
-        f1 = UPoly.monomial(Fraction(1, 2), 2)
-        form = LiouvilleForm(n=n, f=RatFunc.zero(), terms=[(f1, X)])
-        assert verify_liouville_form(1 / X, form)
-        bad = LiouvilleForm(n=n, f=RatFunc.zero(),
-                            terms=[(f1 + UPoly.one(), X)])
-        assert not verify_liouville_form(1 / X, bad)
-        assert not verify_liouville_form(1 / X + 1, form)
-
-    def test_degree_bound_enforced(self):
-        with pytest.raises(ValueError):
-            LiouvilleForm(n=1, f=RatFunc.zero(), terms=[(UPoly.x(), X)])
-
-    def test_classic_check(self):
-        assert liouville_classic_check(1 / X, RatFunc.zero(), [(Fraction(1), X)])
-        assert liouville_classic_check(RatFunc.one(), X, [])
-        assert liouville_classic_check(
-            2 / (X**2 - 1), RatFunc.zero(),
-            [(Fraction(1), X - 1), (Fraction(-1), X + 1)])
-        assert not liouville_classic_check(
-            2 / (X**2 - 1), RatFunc.zero(), [(Fraction(1), X - 1)])
-
-    def test_constant_form_check_in_tower(self):
-        tower = Tower()
-        u = tower.x() + 1
-        g = (u.derive() / u).derive() + tower.expr(RatFunc.from_int(5))
-        assert liouville_constant_form_check(
-            g, Fraction(5), tower.zero(), [(Fraction(1), u)], n=2)
-        assert not liouville_constant_form_check(
-            g, Fraction(4), tower.zero(), [(Fraction(1), u)], n=2)
-
-
-class TestNIntegrable:
-    def test_polynomials_always(self):
-        for n in (1, 3, 7):
-            assert n_integrable_in_Cx(X**2, n).is_integrable
-
-    def test_simple_pole_blocks_immediately(self):
-        v = n_integrable_in_Cx(1 / X, 1)
-        assert not v.is_integrable
-        assert v.step == 1
-        assert isinstance(v.obstruction, SimplePoleObstruction)
-
-    def test_second_step_obstruction(self):
-        v1 = n_integrable_in_Cx(1 / X**2, 1)
-        assert v1.is_integrable and v1.witness == -1 / X
-        v2 = n_integrable_in_Cx(1 / X**2, 2)
-        assert not v2.is_integrable and v2.step == 2
-
-    def test_witness_soundness_random(self, rng):
-        for _ in range(100):
-            g = rand_ratfunc(rng, 4)
-            n = rng.randint(1, 4)
-            v = n_integrable_in_Cx(g, n)
-            if v.is_integrable:
-                assert derive_n(v.witness, n) == g
-            else:
-                assert not v.obstruction.residual.is_zero()
-                assert v.obstruction.residual.den.is_squarefree()
-
-    def test_monotone_in_n(self, rng):
-        for _ in range(60):
-            g = rand_ratfunc(rng, 4)
-            statuses = [n_integrable_in_Cx(g, n).is_integrable for n in (1, 2, 3, 4)]
-            # once it fails it stays failed
-            for a, b in zip(statuses, statuses[1:]):
-                assert a or not b
 
 
 class TestInfinityIntegrable:

@@ -12,7 +12,6 @@ from diffgal.errors import (
     BadSpec,
     InconsistentSpec,
     NoCyclicVectorFound,
-    NotNilpotent,
     NotReducedToBase,
     ZeroEntry,
 )
@@ -531,7 +530,7 @@ def log_series(u_mat):
     ring = u_mat[0][0].ring
     nil = [[e - 1 if i == j else e for j, e in enumerate(row)] for i, row in enumerate(u_mat)]
     if any(not nil[i][j].is_zero() for i in range(n) for j in range(i + 1)):
-        raise NotNilpotent("U - 1 must be strictly upper triangular")
+        raise ValueError("U - 1 must be strictly upper triangular")
     out = [[ring.zero()] * n for _ in range(n)]
     power = nil
     for k in range(1, n):

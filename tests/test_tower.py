@@ -10,7 +10,6 @@ from diffgal.errors import DegenerateGenerator, NotPolynomialInTheta, ZeroEntry
 from diffgal.ratfield import RatFunc
 from diffgal.tower import (
     Tower,
-    annihilator_of_iterated_integral,
     apply_operator,
     fundamental_T,
     laurent_normal,
@@ -311,39 +310,6 @@ class TestFundamentalT:
                 for i in range(n):
                     top = top + t_mat[0][i] * RatFunc.from_fraction(cs[i])
                 assert not top.is_zero()
-
-
-class TestAnnihilator:
-    def test_log_annihilator(self):
-        op = annihilator_of_iterated_integral(1 / X, 1)
-        assert op == SkewOp.D(2) + SkewOp.const(1 / X) * SkewOp.D()
-        tw, th = log_tower()
-        assert apply_operator(op, th).is_zero()
-
-    def test_constant_gives_pure_power(self):
-        assert annihilator_of_iterated_integral(RatFunc.one(), 2) == SkewOp.D(3)
-        tw = Tower()
-        assert apply_operator(SkewOp.D(3), tw.x() ** 2).is_zero()
-
-    def test_kills_low_powers_random(self, rng):
-        for _ in range(20):
-            f = rand_ratfunc(rng, 3, nonzero=True)
-            n = rng.randint(1, 4)
-            op = annihilator_of_iterated_integral(f, n)
-            tw = Tower()
-            for k in range(n):
-                assert apply_operator(op, tw.x() ** k).is_zero()
-
-    def test_kills_eta_with_nth_derivative_f(self, rng):
-        # eta = I_n where I_1' = f and I_k' = I_{k-1}
-        for f in (1 / X, X**2 + 1, 1 / (X - 3)):
-            n = 3
-            tw = Tower()
-            cur = tw.add_integral("i1", tw.expr(f))
-            for k in range(2, n + 1):
-                cur = tw.add_integral(f"i{k}", cur)
-            op = annihilator_of_iterated_integral(f, n)
-            assert apply_operator(op, cur).is_zero()
 
 
 class TestLaurentNormal:

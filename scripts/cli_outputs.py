@@ -33,7 +33,7 @@ from worker import _canonical, run_request  # noqa: E402
 from workloads import WORKLOADS, generate  # noqa: E402
 
 
-def _seeds(text: str) -> list[int]:
+def parse_seeds(text: str) -> list[int]:
     """`1-10`, `3` or `1,4,7`."""
     out: list[int] = []
     for part in text.split(","):
@@ -86,7 +86,7 @@ def main(argv: list[str] | None = None) -> int:
     answers: dict[str, dict] = {}
     raised = 0
     for workload in workloads:
-        for seed in _seeds(args.seeds):
+        for seed in parse_seeds(args.seeds):
             got, bad = outputs(workload, seed)
             answers.update(got)
             raised += bad

@@ -193,11 +193,11 @@ def _coeff_str(c: RatFunc) -> str:
     return f"({s})"
 
 
-def check_nonzero(fs: Sequence[RatFunc], what: str = "tuple entry") -> tuple[RatFunc, ...]:
+def check_nonzero(fs: Sequence[RatFunc]) -> tuple[RatFunc, ...]:
     out = tuple(RatFunc.coerce(f) for f in fs)
     for i, f in enumerate(out):
         if f.is_zero():
-            raise ZeroEntry(f"{what} {i + 1} is zero")
+            raise ZeroEntry(f"tuple entry {i + 1} is zero")
     return out
 
 

@@ -42,9 +42,8 @@ class IntegrabilityVerdict:
         return cls("integrable", witness=witness)
 
     @classmethod
-    def not_integrable(cls, obstruction=None, step: int | None = None,
-                       reason: str | None = None) -> "IntegrabilityVerdict":
-        return cls("not_integrable", obstruction=obstruction, step=step, reason=reason)
+    def not_integrable(cls, obstruction=None, reason: str | None = None) -> "IntegrabilityVerdict":
+        return cls("not_integrable", obstruction=obstruction, reason=reason)
 
     @classmethod
     def not_supported(cls, reason: str) -> "IntegrabilityVerdict":
@@ -172,8 +171,11 @@ def rational_log_parts(remainder: RatFunc) -> list[tuple[Fraction, UPoly]]:
         if a.degree == 0:
             return [(a[0], q.monic())]
     res_poly = _resultant_in_residue(q, p)
+    # R's squarefree part has R's roots, and its end coefficients divide R's,
+    # so its root search never has more candidates or factoring trials.
+    squarefree = res_poly.cofactors(res_poly.derivative())[1]
     parts: list[tuple[Fraction, UPoly]] = []
-    for c in sorted(_rational_roots(res_poly)):
+    for c in sorted(_rational_roots(squarefree)):
         if c == 0:
             continue
         fac = q.gcd(p - dq * c)

@@ -359,8 +359,7 @@ def spoly(f: MPoly, g: MPoly) -> MPoly:
     return mf * f - mg * g
 
 
-def buchberger(gens: Iterable[MPoly], ring: PolyRing | None = None,
-               budget: int = DEFAULT_BUDGET) -> list[MPoly]:
+def buchberger(gens: Iterable[MPoly], budget: int = DEFAULT_BUDGET) -> list[MPoly]:
     """Reduced Groebner basis of the ideal generated by `gens`.
 
     The empty list is the zero ideal and yields the empty basis.  Termination
@@ -369,8 +368,6 @@ def buchberger(gens: Iterable[MPoly], ring: PolyRing | None = None,
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
-    if ring is None:
-        ring = gens[0].ring
     meter = _Budget(budget)
     basis: list[MPoly] = []
     for g in gens:

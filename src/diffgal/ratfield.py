@@ -500,7 +500,7 @@ def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
     if _coprime_mod_p(a, b):
         return [1]
     while True:
-        r = _int_prem(a, b)
+        r = _int_pdiv(a, b)[1]
         if not r:
             return b if b[-1] > 0 else [-v for v in b]
         a, b = b, _primitive_int_list(r)
@@ -538,37 +538,24 @@ def _int_pdiv(a, b) -> tuple[list[int], list[int], int]:
     """Pseudo-division over Z: lead(b)^k * a = q*b + r with deg r < deg b."""
     db = len(b) - 1
     d = b[-1]
-    q = [0] * max(1, len(a) - db)
     r = list(a)
-    k = 0
+    steps = []
     while r and len(r) - 1 >= db:
         lead = r[-1]
         off = len(r) - 1 - db
-        q = [c * d for c in q]
-        q[off] += lead
+        steps.append((off, lead))
         r = [c * d for c in r[:-1]]
         for j in range(db):
             r[off + j] -= lead * b[j]
         while r and r[-1] == 0:
             r.pop()
-        k += 1
-    return q, r, k
-
-
-def _int_prem(a: list[int], b: list[int]) -> list[int]:
-    """Remainder of a modulo b over Z, up to a nonzero integer factor."""
-    db = len(b) - 1
-    lb = b[-1]
-    r = a[:]
-    while r and len(r) - 1 >= db:
-        lead = r[-1]
-        off = len(r) - 1 - db
-        r = [c * lb for c in r[:-1]]
-        for j in range(db):
-            r[off + j] -= lead * b[j]
-        while r and r[-1] == 0:
-            r.pop()
-    return r
+    # Step i's lead is scaled by d once per later step: times d^(k-1-i).
+    q = [0] * max(1, len(a) - db)
+    scale = 1
+    for off, lead in reversed(steps):
+        q[off] = lead * scale
+        scale *= d
+    return q, r, len(steps)
 
 
 def _frac_str(c: Fraction) -> str:

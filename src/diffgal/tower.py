@@ -1,11 +1,13 @@
 """Differential towers Q(x)(th_1,...,th_k) with declared generator derivatives.
 
 Each generator is a log, exp, radical or formal integral; expressions are
-fractions of polynomials in the generators with Q(x) coefficients.  The
-derivation extends the base derivation by the declared images, so annihilation
-checks reduce to exact arithmetic.  Radical generators are reduced modulo
-th^n = x; exp generators may appear with negative exponents (Laurent) through
-the fraction field.
+fractions of polynomials in the generators with Q(x) coefficients.  A
+generator keeps the image it was declared with, a fraction over the ring it
+was adjoined in, and no later adjoin rewrites it.  The tower's derivation
+lifts the images into the current ring and is built once per ring, on first
+use, so annihilation checks reduce to exact arithmetic.  Radical generators
+are reduced modulo th^n = x; exp generators may appear with negative
+exponents (Laurent) through the fraction field.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ class Generator:
         self.kind = kind  # "log" | "exp" | "radical" | "integral"
         self.root = root
         self.argument = argument
-        self.derivative = derivative  # MRat over the tower ring, set by Tower
+        self.derivative = derivative  # MRat as declared; a later adjoin leaves it
 
     def __repr__(self):
         return f"Generator({self.name}, {self.kind})"
@@ -50,8 +52,21 @@ class Tower:
         # (index, root) of the one radical generator, set by add_radical.
         self.radical: tuple[int, int] | None = None
         self.ring = PolyRing((), coeff="ratfunc")
-        # The derivation of Q(x)[th_1, ..., th_k]; images may be fractions.
-        self.derivation = Derivation(self.ring, [])
+        self._derivation: Derivation | None = None
+
+    @property
+    def derivation(self) -> Derivation:
+        """The derivation of Q(x)[th_1, ..., th_k]; images may be fractions.
+
+        Built on the first use in each ring.  Two threads' first uses may
+        both build it; they build equal derivations."""
+        d = self._derivation
+        if d is None or d.ring is not self.ring:
+            d = self._derivation = Derivation(self.ring, [
+                MRat(_lift_poly(g.derivative.num, self.ring),
+                     _lift_poly(g.derivative.den, self.ring), normalize=False)
+                for g in self.gens])
+        return d
 
     # -- construction ------------------------------------------------------
 
@@ -60,13 +75,8 @@ class Tower:
             raise ValueError(f"generator name {name!r} already in use")
         return PolyRing(self.ring.names + (name,), coeff="ratfunc")
 
-    def _install(self, gen: Generator, image: MRat) -> "TowerExpr":
-        gen.derivative = image
+    def _install(self, gen: Generator) -> "TowerExpr":
         self.gens.append(gen)
-        for g in self.gens:  # every image lives in the newest ring
-            g.derivative = MRat(_lift_poly(g.derivative.num, self.ring),
-                                _lift_poly(g.derivative.den, self.ring), normalize=False)
-        self.derivation = Derivation(self.ring, [g.derivative for g in self.gens])
         return self.gen_expr(gen.name)
 
     def add_log(self, name: str, u) -> "TowerExpr":
@@ -75,11 +85,9 @@ class Tower:
         du = u.derive()
         if u.is_zero() or du.is_zero():
             raise DegenerateGenerator(f"log({u}) is degenerate")
-        ring = self._new_ring(name)
-        image = MRat(_lift_poly(du.num, ring) * _lift_poly(u.den, ring),
-                     _lift_poly(du.den, ring) * _lift_poly(u.num, ring))
-        self.ring = ring
-        return self._install(Generator(name, "log", None, argument=u), image)
+        image = du._frac() / u._frac()
+        self.ring = self._new_ring(name)
+        return self._install(Generator(name, "log", image, argument=u))
 
     def add_exp(self, name: str, u) -> "TowerExpr":
         """Adjoin th with th' = u' * th for nonconstant u."""
@@ -91,7 +99,7 @@ class Tower:
         theta = ring.var(name)
         image = MRat(_lift_poly(du.num, ring) * theta, _lift_poly(du.den, ring))
         self.ring = ring
-        return self._install(Generator(name, "exp", None, argument=u), image)
+        return self._install(Generator(name, "exp", image, argument=u))
 
     def add_radical(self, name: str, root: int) -> "TowerExpr":
         """Adjoin th = x^(1/root) with th^root = x; only one per tower.  Rationalising
@@ -109,15 +117,13 @@ class Tower:
         image = MRat(theta.scale(coeff), ring.one())
         self.ring = ring
         self.radical = (len(self.gens), root)
-        return self._install(Generator(name, "radical", None, root=root), image)
+        return self._install(Generator(name, "radical", image, root=root))
 
     def add_integral(self, name: str, integrand) -> "TowerExpr":
         """Adjoin a formal integral: th' = integrand."""
         integrand = self.expr(integrand)
-        ring = self._new_ring(name)
-        image = MRat(_lift_poly(integrand.num, ring), _lift_poly(integrand.den, ring))
-        self.ring = ring
-        return self._install(Generator(name, "integral", None, argument=integrand), image)
+        self.ring = self._new_ring(name)
+        return self._install(Generator(name, "integral", integrand._frac(), argument=integrand))
 
     # -- expression building -------------------------------------------------
 
@@ -479,33 +485,17 @@ def laurent_normal(e: TowerExpr, name: "str | Generator") -> dict[int, TowerExpr
     den = _lift_poly(e.den, tower.ring)
     shift = 0
     if den.involves(idx):
-        q = num.exact_div(den)
-        if q is not None:
-            num, den = q, tower.ring.one()
-        elif len(den.terms) == 1:
-            (m0, c0), = den.terms.items()
-            shift = m0[idx]
-            rest = tuple(0 if i == idx else v for i, v in enumerate(m0))
-            den = MPoly(tower.ring, {rest: c0})
-        else:
+        # `MRat` has already divided out any exact quotient, so only a monomial
+        # denominator is a Laurent shift.
+        if len(den.terms) != 1:
             raise NotPolynomialInTheta(f"{e} is not Laurent in {name}")
-    if den.involves(idx):
-        raise NotPolynomialInTheta(f"{e} has {name} in an unsplittable denominator")
+        (m0, c0), = den.terms.items()
+        shift = m0[idx]
+        den = MPoly(tower.ring, {m0[:idx] + (0,) + m0[idx + 1:]: c0})
     buckets: dict[int, dict] = {}
     for m, c in num.terms.items():
-        d = m[idx] - shift
-        flat = tuple(0 if i == idx else v for i, v in enumerate(m))
-        buckets.setdefault(d, {})
-        cur = buckets[d].get(flat)
-        buckets[d][flat] = c if cur is None else cur + c
+        buckets.setdefault(m[idx] - shift, {})[m[:idx] + (0,) + m[idx + 1:]] = c
     if gen.kind != "exp" and any(d < 0 for d in buckets):
         raise NotPolynomialInTheta(f"negative powers of {name} are not allowed for {gen.kind}")
-    out: dict[int, TowerExpr] = {}
-    for d, terms in sorted(buckets.items()):
-        p = MPoly(tower.ring, {m: c for m, c in terms.items() if c})
-        if p.is_zero():
-            continue
-        out[d] = TowerExpr(tower, p, den)
-    return out
-
-
+    return {d: TowerExpr(tower, MPoly(tower.ring, terms), den)
+            for d, terms in sorted(buckets.items())}

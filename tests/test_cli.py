@@ -117,6 +117,43 @@ class TestConstruct:
         fs = [parse_ratfunc(s) for s in rep["outputs"]["f"]]
         assert fs[1:] == [X - 2, X - 3]
 
+    FULL_U3 = [[[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+               [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
+               [[0, 0, 1], [0, 0, 0], [0, 0, 0]]]
+
+    def full_u3_certificate(self, capsys, tmp_path, a):
+        path = tmp_path / "full.json"
+        path.write_text(json.dumps({"n": 3, "lie_basis": self.FULL_U3, "a": a}))
+        code, rep = run_json(capsys, "construct", "--spec", str(path))
+        return code, rep["certificate"]
+
+    def test_dependent_a_fails_the_certificate(self, capsys, tmp_path):
+        # 2*a_1 - a_2 = (1/x)', so the group of L is not all of U(3).
+        code, cert = self.full_u3_certificate(capsys, tmp_path, ["1/x", "2/x + 1/x^2"])
+        assert code == 1
+        assert cert.pop("a_independence_verified") is False
+        assert all(cert.values())
+
+    def test_independent_a_with_a_shared_pole(self, capsys, tmp_path):
+        code, cert = self.full_u3_certificate(capsys, tmp_path, ["1/x", "1/x + 1/(x-1)"])
+        assert code == 0
+        assert all(cert.values()) and cert["a_independence_verified"] is True
+
+    def test_rational_string_lie_basis_entry(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(
+            {"n": 3, "lie_basis": [[[0, "1/2", 0], [0, 0, 0], [0, 0, 0]]], "l": 1}))
+        code, rep = run_json(capsys, "construct", "--spec", str(path))
+        assert code == 0
+        assert rep["outputs"]["f"] == ["1/(x - 1)", "1/2", "2*x - 2"]
+
+    def test_non_constant_lie_basis_entry_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(
+            {"n": 3, "lie_basis": [[[0, "x", 0], [0, 0, 0], [0, 0, 0]]], "l": 1}))
+        assert main(["construct", "--spec", str(path)]) == 2
+        assert "is not a rational constant" in capsys.readouterr().err
+
 
 class TestExpand:
     def test_trivial_tuple(self, capsys):
@@ -217,6 +254,18 @@ class TestIntegrate:
                              "--expr", "(r^3+x)/(r^4-2*r+x^2)", "--depth", "1")
         assert code == 1 and rep["outputs"]["status"] == "not_integrable"
         assert time.monotonic() - started < 5
+
+    def test_unknown_field_exit_2(self, capsys):
+        assert main(["integrate", "--field", "foo", "--expr", "x", "--depth", "1"]) == 2
+        assert "unknown field" in capsys.readouterr().err
+
+    def test_large_residue_answers(self, capsys):
+        # The resultant's end coefficients have large divisor counts; its
+        # squarefree part's do not.
+        code, rep = run_json(capsys, "integrate", "--field", "rational", "--expr",
+                             "20000038*x/(x^2-2) + 6*x/(x^2-3)", "--depth", "1")
+        assert code == 0
+        assert rep["outputs"]["witness"] == "3*L1 + 10000019*L2"
 
     def test_root_search_budget_exit_3(self, capsys, monkeypatch):
         import diffgal.integrab as integrab
@@ -385,6 +434,13 @@ class TestJsonShape:
 
     def test_solutions_not_a_list(self, capsys, tmp_path):
         self.verify(capsys, tmp_path, {"solutions": 5})
+
+    def test_tower_without_solutions(self, capsys, tmp_path):
+        assert "has no 'solutions'" in self.verify(capsys, tmp_path, {"generators": []})
+
+    def test_unknown_generator_kind(self, capsys, tmp_path):
+        tower = {"generators": [{"name": "s", "kind": "sin", "arg": "x"}], "solutions": ["1"]}
+        assert "unknown generator kind 'sin'" in self.verify(capsys, tmp_path, tower)
 
     # A radical root must be a JSON integer; "3" used to be accepted and 2.5 ran as 2.
     def radical_root(self, capsys, tmp_path, root):

@@ -84,8 +84,17 @@ class TestDefaultAChoices:
         assert a_choices_independent(default_a_choices(4))
         # derivatives are not independent witnesses
         assert not a_choices_independent([(1 / X).derive()])
-        # shared pole breaks the sufficient criterion
+        # rational multiples are dependent
         assert not a_choices_independent([1 / (X - 1), 2 / (X - 1)])
+
+    def test_independence_is_exact(self):
+        # 2*(1/x) - (2/x + 1/x^2) = (1/x)': dependent modulo derivatives
+        assert not a_choices_independent([1 / X, 2 / X + 1 / X**2])
+        # a shared pole is not a dependence
+        assert a_choices_independent([1 / X, 1 / X + 1 / (X - 1)])
+        assert a_choices_independent([1 / (X**2 - 2), X / (X**2 - 2), 1 / (X - 1)])
+        assert not a_choices_independent([1 / (X**2 - 2), 3 / (X**2 - 2) + (1 / X).derive()])
+        assert not a_choices_independent([1 / (X - 1), X**2])
 
 
 class TestBuildAu:

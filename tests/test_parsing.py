@@ -33,6 +33,10 @@ def test_whitespace():
     assert parse_ratfunc("  x ^ 2 - 1 ") == X**2 - 1
 
 
+def test_unary_sign_after_operator():
+    assert parse_ratfunc("2*+x") == 2 * X
+
+
 @pytest.mark.parametrize("bad", ["", "x +", "x^(-1)", "x^y", "(x", "x)", "y + 1", "x$2"])
 def test_rejects(bad):
     with pytest.raises(ParseError):

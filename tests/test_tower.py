@@ -1,5 +1,7 @@
 """Tower engine: generator derivatives, annihilation, T' = AT, laurent maps."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from diffgal.tower import (
     fundamental_T,
     laurent_normal,
     nested_solutions,
+    rows_satisfy_T_prime_eq_AT,
 )
 
 X = RatFunc.x()
@@ -126,6 +129,74 @@ class TestFractionImages:
         op = SkewOp.D() * SkewOp.const(X) * SkewOp.D()  # kills 1 and L, not M
         assert apply_operator(op, L).is_zero()
         assert apply_operator(op, M) == -1 / (tw.x() * L * L)
+
+
+class TestDeclaredImages:
+    """A generator keeps the image it was declared with; the tower's derivation
+    is built once per ring, on first use."""
+
+    def test_fundamental_T_builds_one_derivation(self, monkeypatch):
+        from diffgal.mpoly import Derivation
+
+        built = []
+        init = Derivation.__init__
+
+        def counted(self, ring, images):
+            built.append(ring)
+            init(self, ring, images)
+
+        monkeypatch.setattr(Derivation, "__init__", counted)
+        fs = [X - k for k in range(2, 8)]
+        t_mat = fundamental_T(fs)  # 21 formal integrals
+        assert rows_satisfy_T_prime_eq_AT(shape_matrix(fs), t_mat) == [True] * 7
+        assert len(built) == 1
+
+    def test_adjoin_leaves_earlier_images(self):
+        tw, L, M, t, N = log_log_tower()
+        images = [g.derivative for g in tw.gens]
+        rings = [img.ring for img in images]
+        tw.add_exp("E", L)
+        tw.add_integral("u", N / M)
+        assert all(g.derivative is img for g, img in zip(tw.gens, images))
+        assert [img.ring for img in images] == rings
+
+    def test_derivative_between_adjoins(self):
+        def two_logs():
+            tw = Tower()
+            L = tw.add_log("L", X)
+            M = tw.add_log("M", L)
+            return tw, L, M
+
+        tw, L, M = two_logs()
+        e = (M * M + L) / (tw.x() + M)
+        between = e.derive()
+        tw.add_integral("t", M / L)
+        tw.add_log("N", M + 1)
+        fresh, L2, M2 = two_logs()
+        assert str(between) == str(((M2 * M2 + L2) / (fresh.x() + M2)).derive())
+        assert e.derive() == between
+
+    def test_threads_build_equal_derivations(self):
+        def quotient(tw, L, M, t, N):
+            return (N * M + tw.x()) / (t + L)
+
+        want = str(quotient(*log_log_tower()).derive())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):  # each round races four first uses in a new tower
+                e = quotient(*log_log_tower())
+                got = []
+                threads = [threading.Thread(target=lambda: got.append(str(e.derive())))
+                           for _ in range(4)]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=30)
+                assert not any(th.is_alive() for th in threads)
+                assert got == [want] * 4
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestRadicalReduction:

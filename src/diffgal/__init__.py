@@ -14,6 +14,7 @@ from .errors import (
     NotReducedToBase,
     NotSupported,
     ParseError,
+    PrintLimitExceeded,
     SingularGauge,
     ZeroDenominator,
     ZeroEntry,
@@ -85,6 +86,7 @@ __all__ = [
     "BadSpec", "BudgetExceeded", "DegenerateGenerator", "DegenerateRecursion",
     "DiffgalError", "InconsistentSpec", "NoCyclicVectorFound", "NotMonic",
     "NotPolynomialInTheta", "NotReducedToBase", "NotSupported", "ParseError",
+    "PrintLimitExceeded",
     "SingularGauge", "ZeroDenominator", "ZeroEntry", "ZeroPolynomial", "RatFunc",
     "UPoly", "derive_n", "hermite_reduce", "squarefree_part", "Derivation", "MPoly",
     "MRat", "PolyRing", "buchberger", "is_groebner", "normal_form",

@@ -15,6 +15,8 @@ from typing import Sequence
 from .errors import NotMonic, SingularGauge, ZeroEntry
 from .ratfield import RatFunc
 
+_ONE = RatFunc.one()
+
 
 class SkewOp:
     """Element of Q(x)[D]: coeffs[i] multiplies D^i."""
@@ -116,6 +118,7 @@ class SkewOp:
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
                 continue
+            a_is_one = a == _ONE
             for j, b in enumerate(other.coeffs):
                 if b.is_zero():
                     continue
@@ -123,7 +126,11 @@ class SkewOp:
                 for k in range(i + 1):
                     bk = chain[k]
                     if not bk.is_zero():
-                        out[i + j - k] = out[i + j - k] + a * bk * comb(i, k)
+                        term = bk if a_is_one else a * bk
+                        c = comb(i, k)
+                        if c > 1:
+                            term = term * c
+                        out[i + j - k] = out[i + j - k] + term
         return SkewOp(out)
 
     def __rmul__(self, other) -> "SkewOp":

@@ -61,6 +61,10 @@ class DegenerateGenerator(DiffgalError):
     """A tower generator is degenerate (e.g. log/exp of a constant)."""
 
 
+class PrintLimitExceeded(DiffgalError):
+    """An answer holds an integer too long to print as text."""
+
+
 class NotSupported(DiffgalError):
     """The input needs arithmetic outside exact rationals."""
 

@@ -147,7 +147,9 @@ class GroupSpec:
         if not (full or _is_subalgebra(basis, comm, n)):
             raise BadSpec(f"{source} does not span a subalgebra")
         ideal = [] if full else ideal_from_lie(basis, n)
-        if given is not None and buchberger(given, budget=groebner_budget) != ideal:
+        # An empty ideal is its own reduced basis: no Buchberger run.
+        if given is not None and (buchberger(given, budget=groebner_budget)
+                                  if given else []) != ideal:
             raise InconsistentSpec(f"the ideal is not that of exp(g), g spanned by {source}")
         if self.l is None:
             basis, l = abelianization_prefix(basis, n, comm)
@@ -374,10 +376,12 @@ def _invertible(b: FMatrix) -> bool:
     k = 0
     while True:
         t = Fraction((k + 1) // 2 if k % 2 else -(k // 2))
-        if all(e.den.eval(t) for row in b.rows for e in row):
+        dens = [[e.den.eval(t) for e in row] for row in b.rows]
+        if all(map(all, dens)):
             break
         k += 1
-    value = [[e.eval(t) for e in row] for row in b.rows]
+    value = [[e.num.eval(t) / dv for e, dv in zip(row, drow)]
+             for row, drow in zip(b.rows, dens)]
     return len(gauss_jordan(value, n)[1]) == n or not b.det().is_zero()
 
 

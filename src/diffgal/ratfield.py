@@ -27,13 +27,14 @@ context) that opened the scope, and it is dropped when the scope exits.
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
 from math import gcd as _igcd, isqrt, lcm
 from typing import Iterable
 
-from .errors import ZeroDenominator, ZeroPolynomial
+from .errors import PrintLimitExceeded, ZeroDenominator, ZeroPolynomial
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -558,30 +559,46 @@ def _int_pdiv(a, b) -> tuple[list[int], list[int], int]:
     return q, r, len(steps)
 
 
-def _frac_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 def poly_str(p: UPoly, var: str = "x") -> str:
-    if p.is_zero():
+    """p as text, each coefficient in lowest terms straight from `ints`/`denom`.
+
+    Raises `PrintLimitExceeded` for an integer longer than the interpreter's
+    int-to-str digit limit."""
+    ints, d = p.ints, p.denom
+    if not ints:
         return "0"
     parts: list[str] = []
-    for k in range(p.degree, -1, -1):
-        c = p[k]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        a = abs(c)
-        if k == 0:
-            body = _frac_str(a)
-        else:
-            xs = var if k == 1 else f"{var}^{k}"
-            body = xs if a == 1 else f"{_frac_str(a)}*{xs}"
-        if not parts:
-            parts.append(body if sign == "+" else f"-{body}")
-        else:
-            parts.append(f" {sign} {body}")
+    try:
+        for k in range(len(ints) - 1, -1, -1):
+            c = ints[k]
+            if not c:
+                continue
+            a = abs(c)
+            if k and a == d:
+                body = var if k == 1 else f"{var}^{k}"
+            else:
+                g = _igcd(a, d)
+                body = str(a // g) if g == d else f"{a // g}/{d // g}"
+                if k:
+                    body += "*" + (var if k == 1 else f"{var}^{k}")
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(f" + {body}" if c > 0 else f" - {body}")
+    except ValueError:
+        longest = max(max(abs(c), d) // _igcd(c, d) for c in ints if c)
+        raise PrintLimitExceeded(
+            f"a coefficient of the answer has {_decimal_digits(longest)} digits, more than "
+            f"the {sys.get_int_max_str_digits()} that can be printed") from None
     return "".join(parts)
+
+
+def _decimal_digits(n: int) -> int:
+    """Decimal digits of n > 0, found without converting n to text."""
+    k = (n.bit_length() - 1) * 1233 >> 12  # 10^k <= n
+    while n >= 10 ** (k + 1):
+        k += 1
+    return k + 1
 
 
 class RatFunc:

@@ -146,7 +146,8 @@ class Tower:
         return self.expr(RatFunc.x())
 
     def gen_expr(self, name: str) -> "TowerExpr":
-        return TowerExpr(self, self.ring.var(name), self.ring.one())
+        # A lone generator over 1 is already in normal form.
+        return TowerExpr._raw(self, self.ring.var(name), self.ring.one())
 
     def gen(self, name: str) -> Generator:
         for g in self.gens:
@@ -206,15 +207,16 @@ def _rationalize_radical(tower: Tower, num: MPoly, den: MPoly) -> tuple[MPoly, M
                 return num, den  # mixed denominator: leave as a fraction
     ring = den.ring
     r0 = ring.var(ring.names[idx]) ** root - RatFunc.x()
+    # th^root - x is irreducible over Q(x) (Eisenstein at x), so the remainders
+    # reach a nonzero constant before zero.
     r1, s0, s1 = den, ring.zero(), ring.one()
-    while r1:
-        if r1.is_constant():  # the first constant remainder: s1 * den = r1 mod th^root - x
-            inv = s1.scale(ring.cone / r1.constant_coeff())
-            return tower.reduce_poly(num * inv), tower.reduce_poly(den * inv)
+    while not r1.is_constant():
         q, r = _divmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
-    return num, den  # gcd(den, th^root - x) is not constant
+    # s1 * den = r1 mod th^root - x
+    inv = s1.scale(ring.cone / r1.constant_coeff())
+    return tower.reduce_poly(num * inv), tower.reduce_poly(den * inv)
 
 
 def _lift_poly(p: MPoly, ring: PolyRing) -> MPoly:
@@ -281,7 +283,7 @@ class TowerExpr:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return (self._frac() - other._frac()).is_zero()
+        return not self.tower.reduce_poly((self._frac() - other._frac()).num)
 
     def __neg__(self) -> "TowerExpr":
         return TowerExpr(self.tower, -self.num, self.den)
@@ -453,18 +455,28 @@ def fundamental_T(f_partial: Sequence[RatFunc]) -> list[list[TowerExpr]]:
 
 
 def rows_satisfy_T_prime_eq_AT(a: FMatrix, t: Sequence[Sequence[TowerExpr]]) -> list[bool]:
-    """For each row i: does T'_ij = sum_k A_ik T_kj hold for every column j?"""
+    """For each row i: does T'_ij = sum_k A_ik T_kj hold for every column j?
+
+    Each T'_ij - sum_k A_ik T_kj is one fraction over the tower ring, and it is
+    zero exactly when its numerator reduces to zero: modulo th^root - x the
+    ring is still a domain, so no denominator vanishes there.
+    """
     n = len(t)
     if n == 0 or a.nrows != n or a.ncols != n or any(len(row) != n for row in t):
         raise ValueError("A and T must be nonempty square matrices of the same size")
+    tower = t[0][0].tower
+    if any(e.tower is not tower for row in t for e in row):
+        raise ValueError("mixed towers")
+    deriv = tower.derivation
+    fracs = [[e._frac() for e in row] for row in t]
 
     def entry_ok(i: int, j: int) -> bool:
-        rhs = t[i][j].tower.zero()
+        diff = fracs[i][j].derive(deriv)
         for k in range(n):
-            c = a[i, k]
-            if not c.is_zero():
-                rhs = rhs + t[k][j] * c
-        return (t[i][j].derive() - rhs).is_zero()
+            c, f = a[i, k], fracs[k][j]
+            if c and f.num:
+                diff = diff + MRat(f.num.scale(-c), f.den, normalize=False)
+        return not tower.reduce_poly(diff.num)
 
     return [all(entry_ok(i, j) for j in range(n)) for i in range(n)]
 

@@ -11,6 +11,15 @@ from diffgal.ratfield import RatFunc, UPoly  # noqa: E402
 
 
 @pytest.fixture
+def int_str_limit():
+    """Python's default int-to-str digit limit, whatever the environment set."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.fixture
 def rng():
     return random.Random(0xD1FF6A1)
 

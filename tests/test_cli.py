@@ -267,6 +267,17 @@ class TestIntegrate:
         assert code == 0
         assert rep["outputs"]["witness"] == "3*L1 + 10000019*L2"
 
+    def test_answer_past_the_printing_limit_exit_2_fast(self, capsys, int_str_limit):
+        nines = "9" * 4000
+        started = time.monotonic()
+        assert main(["integrate", "--field", "rational", "--expr",
+                     f"({nines})*({nines})*x", "--depth", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: a coefficient of the answer has 8000 digits, "
+                                "more than the 4300 that can be printed\n")
+        assert time.monotonic() - started < 1
+
     def test_root_search_budget_exit_3(self, capsys, monkeypatch):
         import diffgal.integrab as integrab
 

@@ -1,6 +1,7 @@
 """Skew ring Q(x)[D], matrices over Q(x), companion forms."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -58,6 +59,27 @@ class TestSkewMul:
             a, b, cc = ops
             assert (a * b) * cc == a * (b * cc)
             assert a * (b + cc) == a * b + a * cc
+
+    def test_products_match_the_binomial_formula(self, rng):
+        # unit coefficients and orders >= 3, so C(i, k) > 1 occurs; the
+        # reference multiplies every term by a and by C(i, k)
+        def reference(a, b):
+            out = [RatFunc.zero()] * (a.order + b.order + 1)
+            for i, ai in enumerate(a.coeffs):
+                for j, bj in enumerate(b.coeffs):
+                    bk = bj
+                    for k in range(i + 1):
+                        if not (ai.is_zero() or bk.is_zero()):
+                            out[i + j - k] = out[i + j - k] + ai * bk * comb(i, k)
+                        bk = bk.derive()
+            return SkewOp(out)
+
+        units = (RatFunc.one(), RatFunc.zero(), -RatFunc.one())
+        for _ in range(40):
+            a, b = (SkewOp([rng.choice(units + (rand_ratfunc(rng, 2),))
+                            for _ in range(rng.randint(3, 5))] + [RatFunc.one()])
+                    for _ in range(2))
+            assert a * b == reference(a, b)
 
     def test_degree_additivity(self, rng):
         for _ in range(100):

@@ -435,6 +435,12 @@ class TestSpecIsOneGroup:
         with pytest.raises(InconsistentSpec):
             GroupSpec(n=3, ideal_gens=[gen]).resolved()
 
+    def test_empty_ideal(self):
+        # the ideal of all of U(3) is compared with the graph basis directly
+        assert GroupSpec(n=3, ideal_gens=[]).resolved().ideal_gens == []
+        with pytest.raises(InconsistentSpec):
+            GroupSpec(n=3, ideal_gens=[], lie_basis=[E(3, 1, 2), E(3, 1, 3)]).resolved()
+
     def test_ideal_disagreeing_with_lie_basis_rejected(self):
         ring = z_ring(3, coeff="rational")
         with pytest.raises(InconsistentSpec):

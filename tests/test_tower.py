@@ -1,5 +1,6 @@
 """Tower engine: generator derivatives, annihilation, T' = AT, laurent maps."""
 
+import json
 import sys
 import threading
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_ratfunc, rand_small_entry
-from diffgal.diffop import SkewOp, build_Lf, monicize, shape_matrix
+from diffgal.diffop import FMatrix, SkewOp, build_Lf, monicize, shape_matrix
 from diffgal.errors import DegenerateGenerator, NotPolynomialInTheta, ZeroEntry
 from diffgal.ratfield import RatFunc
 from diffgal.tower import (
@@ -236,6 +237,14 @@ class TestRadicalReduction:
         assert (e - r / x).is_zero()
         assert not e.den.involves(0)
 
+    def test_equality_modulo_the_relation(self):
+        tw = Tower()
+        r = tw.add_radical("r", 2)
+        t = tw.add_exp("t", tw.x())
+        y = (tw.x() * t + r * t * t) / (r + t)  # r t (r + t) with r^2 = x
+        assert y == r * t and (y - r * t).is_zero()
+        assert y != r
+
     def test_rationalization_cubic_root(self):
         tw = Tower()
         r = tw.add_radical("r", 3)
@@ -321,6 +330,143 @@ class TestNestedSolutions:
                 assert apply_operator(full, v).is_zero()
 
 
+def entrywise_rows(a, t_mat):
+    """The reference check: T' = A T entry by entry in `TowerExpr` arithmetic."""
+    n = len(t_mat)
+    tower = t_mat[0][0].tower
+    rows = []
+    for i in range(n):
+        ok = True
+        for j in range(n):
+            rhs = tower.zero()
+            for k in range(n):
+                if not a[i, k].is_zero():
+                    rhs = rhs + t_mat[k][j] * a[i, k]
+            ok = ok and (t_mat[i][j].derive() - rhs).is_zero()
+        rows.append(ok)
+    return rows
+
+
+def log_identity():
+    tw, th = log_tower()
+    one, zero = tw.one(), tw.zero()
+    return FMatrix([[0, 1 / X], [0, 0]]), [[one, th], [zero, one]]
+
+
+def exp_fraction_identity():
+    # y = 1/t = exp(-x) and L*y: T has fraction entries over t
+    tw = Tower()
+    L = tw.add_log("L", X)
+    t = tw.add_exp("t", tw.x())
+    y = t**-1
+    return FMatrix([[-1, 1 / X], [0, -1]]), [[y, L * y], [tw.zero(), y]]
+
+
+def radical_identity():
+    # r = x^(1/3): (r^k)' = k/(3x) r^k, and 1/r is rationalised to r^2/x
+    tw = Tower()
+    r = tw.add_radical("r", 3)
+    z = tw.zero()
+    third = 1 / (3 * X)
+    a = FMatrix([[2 * third, -third, 0], [0, third, 0], [0, 0, -third]])
+    return a, [[r**2, r, z], [z, r, z], [z, z, r**-1]]
+
+
+def radical_mixed_identity():
+    # y = (x t + r t^2)/(r + t) is r t only modulo r^2 - x, so its denominator
+    # stays mixed and T' - A T vanishes only after reduction
+    tw = Tower()
+    r = tw.add_radical("r", 2)
+    t = tw.add_exp("t", tw.x())
+    y = (tw.x() * t + r * t * t) / (r + t)
+    assert not y.den.is_constant()
+    a = FMatrix([[1 + 1 / (2 * X), 0], [0, 1 / (2 * X)]])
+    return a, [[y, tw.zero()], [tw.zero(), r]]
+
+
+def integral_identity():
+    fs = [X, -((X - 1) ** 2), 1 / (X + 1)]
+    return shape_matrix(fs), fundamental_T(fs)
+
+
+IDENTITIES = [log_identity, exp_fraction_identity, radical_identity, radical_mixed_identity,
+              integral_identity]
+
+
+class TestOneFractionCheck:
+    """`rows_satisfy_T_prime_eq_AT` forms each T'_ij - sum_k A_ik T_kj as one
+    fraction; it must agree with the entrywise `TowerExpr` reference."""
+
+    @pytest.mark.parametrize("case", IDENTITIES, ids=lambda f: f.__name__)
+    def test_identity_holds(self, case):
+        a, t_mat = case()
+        n = len(t_mat)
+        assert rows_satisfy_T_prime_eq_AT(a, t_mat) == entrywise_rows(a, t_mat) == [True] * n
+
+    @pytest.mark.parametrize("case", IDENTITIES, ids=lambda f: f.__name__)
+    def test_scaled_entry_of_a_fails_its_row(self, case):
+        a, t_mat = case()
+        n = len(t_mat)
+        for i in range(n):
+            for k in range(n):
+                if a[i, k].is_zero():
+                    continue
+                wrong = FMatrix([[a[r, c] * 2 if (r, c) == (i, k) else a[r, c]
+                                  for c in range(n)] for r in range(n)])
+                expected = [r != i for r in range(n)]
+                assert rows_satisfy_T_prime_eq_AT(wrong, t_mat) == expected
+                assert entrywise_rows(wrong, t_mat) == expected
+
+    def test_random_matrices_agree(self, rng):
+        # log and exp, radical with exp (mixed denominators stay fractions),
+        # and formal integrals; zero rows of T and A make some rows hold
+        towers = []
+        tw = Tower()
+        towers.append((tw, [tw.add_log("L", X), tw.add_exp("t", tw.x())]))
+        tw = Tower()
+        r = tw.add_radical("r", 2)
+        t = tw.add_exp("t", tw.x())
+        towers.append((tw, [r, t, tw.one() / (r * t + 1)]))
+        tw = Tower()
+        i1 = tw.add_integral("i1", 1 / X)
+        towers.append((tw, [i1, tw.add_integral("i2", i1 / (X - 1))]))
+        for tw, gens in towers:
+            for _ in range(6):
+                n = rng.randint(2, 3)
+                zero_rows = set(rng.sample(range(n), 1))
+                t_mat = [[tw.zero() if i in zero_rows or rng.random() < 0.3 else
+                          rng.choice(gens) * rand_small_entry(rng) + rand_ratfunc(rng, 1)
+                          for _ in range(n)] for i in range(n)]
+                a = FMatrix([[0 if i in zero_rows or rng.random() < 0.5 else
+                              rand_small_entry(rng) for _ in range(n)] for i in range(n)])
+                assert rows_satisfy_T_prime_eq_AT(a, t_mat) == entrywise_rows(a, t_mat)
+
+    def test_wrong_declared_derivative_fails_the_facet(self, monkeypatch, capsys, tmp_path):
+        import diffgal.tower as tower
+        from diffgal.cli import main
+
+        real = tower._integral_tower
+
+        def wrong(f_partial):
+            # declares t' = 1/(2 f_2) for the integral over 1/f_2
+            fs = list(f_partial)
+            return real([fs[0] * 2] + fs[1:])
+
+        monkeypatch.setattr(tower, "_integral_tower", wrong)
+        fs = [X, X - 1]
+        assert rows_satisfy_T_prime_eq_AT(shape_matrix(fs), fundamental_T(fs)) == [
+            True, False, True]
+        full_u3 = [[[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+                   [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
+                   [[0, 0, 1], [0, 0, 0], [0, 0, 0]]]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n": 3, "lie_basis": full_u3, "a": ["1/x", "1/(x-1)"]}))
+        assert main(["construct", "--spec", str(spec)]) == 1
+        cert = json.loads(capsys.readouterr().out)["certificate"]
+        assert cert.pop("fundamental_identity") is False
+        assert all(cert.values())
+
+
 def tw_expr_one_over_x(tw):
     return tw.expr(1 / X)
 
@@ -336,15 +482,7 @@ class TestFundamentalT:
         for fs in ([X, -((X - 1) ** 2)], [X - 2, X - 3, X - 4], [RatFunc.one()]):
             a = shape_matrix(fs)
             t_mat = fundamental_T(fs)
-            n = len(t_mat)
-            tower = t_mat[0][0].tower
-            for i in range(n):
-                for j in range(n):
-                    rhs = tower.zero()
-                    for k in range(n):
-                        if not a[i, k].is_zero():
-                            rhs = rhs + t_mat[k][j] * a[i, k]
-                    assert (t_mat[i][j].derive() - rhs).is_zero()
+            assert entrywise_rows(a, t_mat) == [True] * len(t_mat)
 
     def test_unipotent_shape(self):
         t_mat = fundamental_T([X, X + 1, X + 2])

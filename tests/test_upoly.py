@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from diffgal.ratfield import RatFunc, UPoly, _coprime_mod_p
+from diffgal.errors import PrintLimitExceeded
+from diffgal.ratfield import RatFunc, UPoly, _coprime_mod_p, poly_str
 
 SEEDS = range(6)
 
@@ -273,3 +274,59 @@ def test_eval_at_fractional_and_negative_points(seed):
     zero = UPoly.zero()
     for v in points + [3]:
         assert zero.eval(v) == 0 and type(zero.eval(v)) is Fraction
+
+
+# -- printing ------------------------------------------------------------------
+
+
+def ref_poly_str(p, var="x"):
+    """The formatter `poly_str` replaced: one `Fraction` per coefficient."""
+
+    def frac_str(c):
+        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+
+    if p.is_zero():
+        return "0"
+    parts = []
+    for k in range(p.degree, -1, -1):
+        c = p[k]
+        if c == 0:
+            continue
+        sign = "-" if c < 0 else "+"
+        a = abs(c)
+        if k == 0:
+            body = frac_str(a)
+        else:
+            xs = var if k == 1 else f"{var}^{k}"
+            body = xs if a == 1 else f"{frac_str(a)}*{xs}"
+        if not parts:
+            parts.append(body if sign == "+" else f"-{body}")
+        else:
+            parts.append(f" {sign} {body}")
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_poly_str_matches_fraction_formatter(seed):
+    rng = random.Random(300 + seed)
+    for _ in range(200):
+        cs = [rng.choice((0, 0, 1, -1, Fraction(rng.randint(-30, 30), rng.randint(1, 12)),
+                          Fraction(rng.getrandbits(90) - 2**89, rng.randint(1, 10**9))))
+              for _ in range(rng.randint(0, 8))]
+        p = UPoly(cs)
+        assert poly_str(p) == ref_poly_str(p)
+        assert poly_str(p, "z") == ref_poly_str(p, "z")
+
+
+@pytest.mark.parametrize("coeffs, digits", [
+    ([0, 10**5000], 5001),
+    ([Fraction(1, 3 * 10**4400), 1], 4401),
+    ([-(10**4299), Fraction(7, 2)], None),
+])
+def test_poly_str_digit_limit(int_str_limit, coeffs, digits):
+    p = UPoly(coeffs)
+    if digits is None:
+        assert poly_str(p) == ref_poly_str(p)
+        return
+    with pytest.raises(PrintLimitExceeded, match=f"has {digits} digits, more than the 4300"):
+        poly_str(p)

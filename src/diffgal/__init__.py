@@ -66,7 +66,6 @@ from .inverse import (
     g_recursion,
     ideal_from_lie,
     lie_from_ideal,
-    reduce_to_F,
     run_pipeline,
     z_ring,
 )
@@ -95,7 +94,7 @@ __all__ = [
     "Tower", "TowerExpr", "apply_operator", "fundamental_T", "laurent_normal",
     "nested_solutions", "GroupSpec", "PipelineResult", "VerificationReport",
     "build_Au", "cyclic_vector", "default_a_choices", "g_recursion",
-    "ideal_from_lie", "lie_from_ideal", "reduce_to_F", "run_pipeline", "z_ring",
+    "ideal_from_lie", "lie_from_ideal", "run_pipeline", "z_ring",
     "IntegrabilityVerdict", "classify_exp", "classify_log", "classify_radical",
     "elementary_n_witness", "infinity_integrable_in_Cx", "parse_expr",
     "parse_ratfunc",

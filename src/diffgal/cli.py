@@ -28,7 +28,7 @@ from .integrab import (
     elementary_n_witness,
     infinity_integrable_in_Cx,
 )
-from .mpoly import MPoly
+from .mpoly import DEFAULT_BUDGET, MPoly
 from .parsing import MAX_DEPTH, _integer, parse_expr, parse_over_qx, parse_ratfunc
 from .ratfield import RatFunc, memo_scope
 from .tower import (Tower, TowerExpr, apply_operator, nested_solutions,
@@ -61,8 +61,8 @@ def _load_json(path: str, what: str) -> dict:
 
 @dataclass
 class Config:
-    groebner_budget: int = 10**6
-    cyclic_search_budget: int = 200
+    groebner_budget: int = DEFAULT_BUDGET
+    cyclic_search_budget: int = inverse.DEFAULT_CYCLIC_BUDGET
     output_format: str = "json"
 
     @classmethod
@@ -495,10 +495,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DiffgalError as exc:
+    except (DiffgalError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

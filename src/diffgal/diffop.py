@@ -168,11 +168,6 @@ class SkewOp:
             k >>= 1
         return out
 
-    def monic(self) -> "SkewOp":
-        if self.is_zero():
-            raise NotMonic("the zero operator cannot be made monic")
-        return self / SkewOp.const(self.coeffs[-1])
-
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
@@ -300,9 +295,6 @@ class FMatrix:
 
     def __add__(self, other: "FMatrix") -> "FMatrix":
         return FMatrix([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
-
-    def __sub__(self, other: "FMatrix") -> "FMatrix":
-        return FMatrix([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
 
     def __mul__(self, other: "FMatrix") -> "FMatrix":
         if not isinstance(other, FMatrix):

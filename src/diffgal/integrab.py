@@ -176,8 +176,6 @@ def rational_log_parts(remainder: RatFunc) -> list[tuple[Fraction, UPoly]]:
     squarefree = res_poly.cofactors(res_poly.derivative())[1]
     parts: list[tuple[Fraction, UPoly]] = []
     for c in sorted(_rational_roots(squarefree)):
-        if c == 0:
-            continue
         fac = q.gcd(p - dq * c)
         if fac.degree > 0:
             parts.append((c, fac.monic()))

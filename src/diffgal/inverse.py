@@ -2,11 +2,12 @@
 
 Given a subgroup of U(n) by defining ideal and/or Lie-algebra basis, the
 pipeline builds the strictly upper matrix A_u = sum a_i X_i, picks a cyclic
-vector and walks the fraction-field recursion for the G_i at the generic
-point Z(Z_F) of G = exp(g), whose coordinate ring is the polynomial ring
-Q(x)[Z_F] in the d = dim g free coordinates.  The G_i come out in Q(x); they
-are the f_i, from which it emits the shape matrix, the monic scalar operator
-L and the companion matrix read off L.  Every checkable consequence is
+vector and walks the recursion for the G_i at the generic point Z(Z_F) of
+G = exp(g), whose coordinate ring is the polynomial ring Q(x)[Z_F] in the
+d = dim g free coordinates.  Every value of the recursion is a polynomial
+there, and each G_i is checked to lie in Q(x) as it is formed; they are the
+f_i, from which it emits the shape matrix, the monic scalar operator L and
+the companion matrix read off L.  Every checkable consequence is
 recorded in a verification report.
 """
 
@@ -40,7 +41,6 @@ from .errors import (
 from .mpoly import (  # noqa: F401
     Derivation,
     MPoly,
-    MRat,
     PolyRing,
     buchberger,
     normal_form,
@@ -385,31 +385,26 @@ def _invertible(b: FMatrix) -> bool:
     return len(gauss_jordan(value, n)[1]) == n or not b.det().is_zero()
 
 
-def g_recursion(ws: Sequence[MRat], deriv: Derivation) -> list[MRat]:
-    """The fraction-field recursion G_n = 1/w_2', G_{n-1} = 1/(G_n w_3')', ...
+def g_recursion(ws: Sequence[MPoly], deriv: Derivation) -> list[RatFunc]:
+    """The recursion G_n = 1/w_2', G_{n-1} = 1/(G_n w_3')', ... on Q(x)[Z_F].
 
     `ws` lists w_2, ..., w_n; the result lists G_n, ..., G_2 in that order.
+    `deriv` has polynomial images, as `derivation_from_Au` builds it.  The
+    G_i lie in Q(x), so every value formed is a polynomial, and the
+    denominator of each G_i must be a nonzero constant of the ring.
     """
     n = len(ws) + 1
-    gs: dict[int, MRat] = {}
-    out: list[MRat] = []
-    for j in range(2, n + 1):
-        u = ws[j - 2].derive(deriv)
-        for i in range(n, n - j + 2, -1):
-            u = (gs[i] * u).derive(deriv)
+    gs: list[RatFunc] = []
+    for j, w in enumerate(ws, start=2):
+        u = deriv.derive(w)
+        for g in gs:
+            u = deriv.derive(u.scale(g))
         if u.is_zero():
             raise DegenerateRecursion(f"denominator of G_{n - j + 2} vanished")
-        g = u.inverse()
-        gs[n - j + 2] = g
-        out.append(g)
-    return out
-
-
-def reduce_to_F(g: MRat) -> RatFunc:
-    """The value of g in Q(x); g must be free of the Z variables."""
-    if not g.num.is_constant() or not g.den.is_constant():
-        raise NotReducedToBase(f"value retains ring variables: ({g.num})/({g.den})")
-    return g.num.constant_coeff() / g.den.constant_coeff()
+        if not u.is_constant():
+            raise NotReducedToBase(f"value retains ring variables: {u}")
+        gs.append(u.constant_coeff().inverse())
+    return gs
 
 
 @dataclass
@@ -471,14 +466,9 @@ def run_pipeline(spec: GroupSpec, groebner_budget: int = DEFAULT_BUDGET,
     # W = B0 B Z is a Wronskian with first row (1, w_2, ..., w_n); that row is
     # the first row of B Z divided by Y1 = B_11.
     y1_inv = RatFunc.one() / b[0, 0]
-    ws = [MRat.from_poly(_row_times_z(b, z, 0, j).scale(y1_inv)) for j in range(1, n)]
+    ws = [_row_times_z(b, z, 0, j).scale(y1_inv) for j in range(1, n)]
 
-    gs = g_recursion(ws, deriv)
-    fs_rev = [reduce_to_F(g) for g in gs]  # f_n, ..., f_2
-    f_partial = tuple(reversed(fs_rev))  # f_2, ..., f_n
-    for i, f in enumerate(f_partial):
-        if f.is_zero():
-            raise ZeroEntry(f"f_{i + 2} reduced to zero")
+    f_partial = tuple(reversed(g_recursion(ws, deriv)))  # f_2, ..., f_n
     report.base_field_coefficients = True
 
     f_tuple = monicize(f_partial)
@@ -517,14 +507,13 @@ def _row_times_z(m: FMatrix, z: list[list[MPoly]], i: int, j: int) -> MPoly:
     return acc
 
 
-def _check_annihilation(ws: Sequence[MRat], f_partial: Sequence[RatFunc],
+def _check_annihilation(ws: Sequence[MPoly], f_partial: Sequence[RatFunc],
                         deriv: Derivation) -> bool:
     """(f_2 (f_3 (... (f_n w_j')...)')')' vanishes on exp(g) for all j."""
-    n = len(f_partial) + 1
     for w in ws:
-        u = w.derive(deriv)
-        for i in range(n, 1, -1):
-            u = (u * MRat.from_poly(u.ring.const(f_partial[i - 2]))).derive(deriv)
+        u = deriv.derive(w)
+        for f in reversed(f_partial):
+            u = deriv.derive(u.scale(f))
         if not u.is_zero():
             return False
     return True
@@ -534,7 +523,7 @@ def _check_differential_ideal(au: FMatrix, z: list[list[MPoly]], deriv: Derivati
     """Z' = A_u Z on the dependent cells too: the derivation, defined by its
     values on the free coordinates, keeps the point on exp(g)."""
     free = set(z[0][0].ring.names)
-    return all(deriv.derive(z[i][j]) == deriv.scaled(_row_times_z(au, z, i, j))
+    return all(deriv.derive(z[i][j]) == _row_times_z(au, z, i, j)
                for name, (i, j) in zip(zvar_names(au.nrows), _cells(au.nrows))
                if name not in free)
 

@@ -569,13 +569,7 @@ class MRat:
         """Quotient rule; `d.derive` returns d.den times the derivative."""
         num, den = self.num, self.den
         dn = d.derive(num)
-        if den.is_constant():
-            c = den.constant_coeff()
-            dc = c.derive()
-            if dc:
-                dn = dn.scale(c) - d.scaled(num).scale(dc)
-                den = den * den.ring.const(c)
-        else:
+        if not self.is_poly():
             dn = dn * den - num * d.derive(den)
             den = den * den
         return MRat(dn, d.scaled(den))

@@ -272,9 +272,6 @@ class UPoly:
         db = other.denom
         return _make([v * db for v in q], den), _make(r, den)
 
-    def __floordiv__(self, other: "UPoly") -> "UPoly":
-        return divmod(self, other)[0]
-
     def __mod__(self, other: "UPoly") -> "UPoly":
         return divmod(self, other)[1]
 
@@ -835,12 +832,6 @@ class RatFunc:
         """Polynomial part and proper part: self = P + p/q with deg p < deg q."""
         q, r = divmod(self.num, self.den)
         return q, RatFunc(r, self.den)
-
-    def eval(self, v: Fraction) -> Fraction:
-        dv = self.den.eval(v)
-        if dv == 0:
-            raise ZeroDivisionError(f"pole at {v}")
-        return self.num.eval(v) / dv
 
     def __str__(self) -> str:
         if self.den.degree == 0:

@@ -10,6 +10,7 @@ from conftest import is_companion
 from diffgal.diffop import FMatrix, SkewOp, gauge_transform, gauss_jordan
 from diffgal.errors import (
     BadSpec,
+    DegenerateRecursion,
     InconsistentSpec,
     NoCyclicVectorFound,
     NotReducedToBase,
@@ -27,13 +28,12 @@ from diffgal.inverse import (
     generic_point,
     ideal_from_lie,
     lie_from_ideal,
-    reduce_to_F,
     run_pipeline,
     z_ring,
 )
 import diffgal.inverse as inverse
 import diffgal.mpoly as mpoly
-from diffgal.mpoly import MRat, is_groebner
+from diffgal.mpoly import is_groebner
 from diffgal.ratfield import RatFunc, hermite_reduce
 
 X = RatFunc.x()
@@ -209,26 +209,37 @@ class TestGRecursion:
         self.z = generic_point(3, self.spec.ideal_gens)
         self.ring = self.z[0][0].ring
         self.deriv = derivation_from_Au(self.au, self.z)
-        self.ws = [MRat.from_poly(self.z[0][1]), MRat.from_poly(self.z[0][2])]
+        self.ws = [self.z[0][1], self.z[0][2]]
 
     def test_golden_g3(self):
         gs = g_recursion(self.ws, self.deriv)
-        assert gs[0] == MRat.from_poly(self.ring.const(X))  # G_3 = x - c1
+        assert gs[0] == X  # G_3 = x - c1
 
     def test_golden_g2_matches_display(self):
         # G_2 = 1/(Z_2_3 + (x-c1)/(x-c2))'
         gs = g_recursion(self.ws, self.deriv)
-        inner = MRat.from_poly(
-            self.z[1][2] + self.ring.const(X / (X - 1)))
-        assert gs[1] == inner.derive(self.deriv).inverse()
+        inner = self.z[1][2] + self.ring.const(X / (X - 1))
+        assert gs[1] == 1 / self.deriv.derive(inner).constant_coeff()
 
     def test_full_u2(self):
         z = generic_point(2)
         au = FMatrix([[0, 1 / (X - 1)], [0, 0]])
         deriv = derivation_from_Au(au, z)
-        ws = [MRat.from_poly(z[0][1])]
-        gs = g_recursion(ws, deriv)
-        assert gs == [MRat.from_poly(z[0][0].ring.const(X - 1))]
+        assert g_recursion([z[0][1]], deriv) == [X - 1]
+
+    def test_first_value_keeping_a_variable_raises(self):
+        # w_2 = Z_1_2^2 gives u = 2 a_1 Z_1_2 = (2/x) Z_1_2 at once, before w_3 is read
+        z12 = self.z[0][1]
+        assert self.deriv.derive(z12 * z12) == z12.scale(2 / X)
+        with pytest.raises(NotReducedToBase) as exc:
+            g_recursion([z12 * z12, self.ws[1]], self.deriv)
+        assert str(exc.value) == "value retains ring variables: (2/(x))*Z_1_2"
+
+    def test_constant_w_is_degenerate(self):
+        z = generic_point(2)
+        deriv = derivation_from_Au(FMatrix([[0, 1 / (X - 1)], [0, 0]]), z)
+        with pytest.raises(DegenerateRecursion, match=r"^denominator of G_2 vanished$"):
+            g_recursion([z[0][0].ring.one()], deriv)
 
 
 def z23_point():
@@ -237,25 +248,30 @@ def z23_point():
 
 
 class TestReduceToF:
+    """`g_recursion` checks that each G lies in Q(x) as it is formed."""
+
     def test_golden_phi(self):
         spec = golden_spec()
         z = z23_point()
         deriv = derivation_from_Au(build_Au(spec), z)
-        ws = [MRat.from_poly(z[0][1]), MRat.from_poly(z[0][2])]
-        gs = g_recursion(ws, deriv)
-        assert reduce_to_F(gs[0]) == X
-        assert reduce_to_F(gs[1]) == -((X - 1) ** 2)
+        gs = g_recursion([z[0][1], z[0][2]], deriv)
+        assert all(isinstance(g, RatFunc) for g in gs)
+        assert gs == [X, -((X - 1) ** 2)]
 
     def test_z_free_unchanged(self):
-        ring = z23_point()[0][0].ring
-        g = MRat.from_poly(ring.const((X + 2) / (X - 5)))
-        assert reduce_to_F(g) == (X + 2) / (X - 5)
+        # w_2 = Z_1_2 + r(x) with Z_1_2' = 1/x: u = 1/x + r' is already Z-free
+        z = z23_point()
+        deriv = derivation_from_Au(build_Au(golden_spec()), z)
+        r = (X + 2) / (X - 5)
+        gs = g_recursion([z[0][1] + z[0][0].ring.const(r)], deriv)
+        assert gs == [1 / (1 / X + r.derive())]
 
     def test_surviving_variable_raises(self):
-        ring = z23_point()[0][0].ring
-        g = MRat.from_poly(ring.var("Z_1_2"))
-        with pytest.raises(NotReducedToBase):
-            reduce_to_F(g)
+        # G_3 = x is in Q(x), but w_3 = Z_1_2 Z_1_3 leaves (x w_3')' with Z_1_3 in it
+        z = z23_point()
+        deriv = derivation_from_Au(build_Au(golden_spec()), z)
+        with pytest.raises(NotReducedToBase, match="^value retains ring variables: "):
+            g_recursion([z[0][1], z[0][1] * z[0][2]], deriv)
 
 
 class TestGenericPoint:
@@ -284,7 +300,7 @@ class TestCertificateFacets:
         z = generic_point(3, res.spec.ideal_gens)
         deriv = derivation_from_Au(res.A_u, z)
         y1_inv = 1 / res.B[0, 0]
-        ws = [MRat.from_poly(inverse._row_times_z(res.B, z, 0, j).scale(y1_inv)) for j in (1, 2)]
+        ws = [inverse._row_times_z(res.B, z, 0, j).scale(y1_inv) for j in (1, 2)]
         assert inverse._check_annihilation(ws, res.f_partial, deriv)
         f2, f3 = res.f_partial
         assert not inverse._check_annihilation(ws, (f2, f3 + 1), deriv)

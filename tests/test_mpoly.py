@@ -225,6 +225,20 @@ class TestMRat:
         # (1/Z12)' = -Z12'/Z12^2 = -(1/x)/Z12^2
         assert df == MRat(ring.const(-1 / X), z12 * z12)
 
+    def test_derive_over_an_unnormalised_constant_denominator(self):
+        # p/(x+1) kept as it stands is derived as its normalised form p.scale(1/(x+1))
+        ring = z3_ring("ratfunc")
+        z12, z13, z23 = ring.gens()
+        p = z12 * z23 + ring.const(X)
+        for d in (example_derivation(ring),
+                  Derivation(ring, [MRat(ring.one(), z23), ring.const(X), ring.zero()])):
+            f = MRat(p, ring.const(X + 1), normalize=False)
+            assert not f.is_poly()
+            assert f.derive(d) == MRat.from_poly(p.scale(1 / (X + 1))).derive(d)
+            assert f.derive(d) == MRat(
+                d.derive(p).scale(1 / (X + 1)) - d.scaled(p).scale(1 / (X + 1) ** 2),
+                d.den)
+
     def test_spec_example_g2(self):
         # G_2 = 1/(Z_2_3 + (x-c1)/(x-c2))' reduces to (x-c2)^2/(c1-c2)
         ring = z3_ring("ratfunc")

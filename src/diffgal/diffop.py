@@ -3,7 +3,9 @@
 Products expand through the commutation rule D^i f = sum_k C(i,k) f^(k) D^(i-k),
 so operator composition is exact.  Exact Gauss-Jordan elimination, the
 determinant and the companion matrix back the cyclic-vector pipeline; the
-inverse and the gauge transform are library API.
+inverse and the gauge transform are library API.  A rank that only has to be
+full is first tried modulo one prime (`full_rank_mod_p`), where a yes is a
+proof.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from math import comb
 from typing import Sequence
 
 from .errors import NotMonic, SingularGauge, ZeroEntry
-from .ratfield import RatFunc
+from .ratfield import _GCD_PRIME, RatFunc
 
 _ONE = RatFunc.one()
 
@@ -159,6 +161,8 @@ class SkewOp:
     def __pow__(self, k: int) -> "SkewOp":
         if k < 0:
             raise ValueError("negative operator power")
+        if self.is_monic() and not any(self.coeffs[:-1]):  # (D^m)^k = D^(mk)
+            return SkewOp.D(self.order * k)
         out = SkewOp.const(1)
         base = self
         while k:
@@ -251,6 +255,30 @@ def gauss_jordan(rows: Sequence[Sequence], ncols: int) -> tuple[list[list], list
                 a[i] = [e - f * g for e, g in zip(row, a[r])]
         pivots.append(c)
     return a, pivots, det
+
+
+def full_rank_mod_p(rows: Sequence[Sequence[int]]) -> bool:
+    """Whether integer rows have full row rank modulo `ratfield._GCD_PRIME`.
+
+    A nonzero maximal minor mod p is a nonzero integer, so True proves the
+    rows independent over Q; False proves nothing.  Scaling a row by a nonzero
+    integer keeps its rank over Q, and one prime to p keeps it mod p too.
+    """
+    p = _GCD_PRIME
+    a = [[v % p for v in row] for row in rows]
+    for r, row in enumerate(a):
+        # Earlier pivot columns are cleared from this row: its first nonzero
+        # entry is a new pivot, and a zero row is a dependence mod p.
+        c = next((j for j, v in enumerate(row) if v), None)
+        if c is None:
+            return False
+        inv = pow(row[c], -1, p)
+        for i in range(r + 1, len(a)):
+            f = a[i][c]
+            if f:
+                f = f * inv % p
+                a[i] = [(e - f * g) % p for e, g in zip(a[i], row)]
+    return True
 
 
 class FMatrix:

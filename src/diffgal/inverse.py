@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Sequence
 
 from .diffop import (
@@ -24,6 +24,7 @@ from .diffop import (
     SkewOp,
     build_Lf,
     companion_of,
+    full_rank_mod_p,
     gauss_jordan,
     monicize,
     shape_matrix,
@@ -46,7 +47,7 @@ from .mpoly import (  # noqa: F401
     normal_form,
     DEFAULT_BUDGET,
 )
-from .ratfield import RatFunc, UPoly, hermite_reduce, memo_scope
+from .ratfield import RatFunc, UPoly, _int_eval, hermite_reduce, memo_scope
 from .tower import fundamental_T, rows_satisfy_T_prime_eq_AT
 
 DEFAULT_CYCLIC_BUDGET = 200
@@ -258,14 +259,23 @@ def a_choices_independent(a: Sequence[RatFunc]) -> bool:
     The proper part of a_i's Hermite remainder has a squarefree denominator,
     is Q-linear in a_i and is zero exactly when a_i lies in F' (a polynomial
     always has a polynomial antiderivative), so the a_i are independent
-    modulo F' exactly when these parts are: one elimination of their
-    numerators over the lcm of the denominators decides the rank."""
+    modulo F' exactly when these parts are: the rank of their numerators over
+    the lcm of the denominators decides it.
+
+    The rank is first taken mod p = `ratfield._GCD_PRIME` on each numerator's
+    `ints`, the numerator times its positive integer `denom`, which keeps the
+    rank over Q.  Rank mod p is at most rank over Q, so full rank mod p proves
+    independence; only a short rank mod p leaves the answer to the exact
+    elimination over Q."""
     parts = [hermite_reduce(f)[1].split()[1] for f in a]
-    lcm = UPoly.one()
+    common = UPoly.one()
     for r in parts:
-        lcm = lcm * lcm.cofactors(r.den)[2]
-    nums = [(r.num * lcm.exact_div(r.den)).coeffs for r in parts]
-    return _rank([list(c) + [0] * (lcm.degree - len(c)) for c in nums]) == len(nums)
+        common = common * common.cofactors(r.den)[2]
+    nums = [r.num * common.exact_div(r.den) for r in parts]
+    width = common.degree
+    if full_rank_mod_p([list(c.ints) + [0] * (width - len(c.ints)) for c in nums]):
+        return True
+    return _rank([list(c.coeffs) + [0] * (width - len(c.ints)) for c in nums]) == len(nums)
 
 
 def build_Au(spec: GroupSpec) -> FMatrix:
@@ -368,21 +378,29 @@ def cyclic_vector(au: FMatrix, budget: int = DEFAULT_CYCLIC_BUDGET
 def _invertible(b: FMatrix) -> bool:
     """det B != 0 over Q(x).
 
-    B is evaluated at the first of 0, 1, -1, 2, -2, ... where no entry has a
-    pole; a value of full rank over Q proves det B != 0.  Only a singular value
-    leaves the question to the exact determinant.
+    B is evaluated at the first integer t of 0, 1, -1, 2, -2, ... where no
+    entry has a pole, by Horner on each `ints`: with N and D the values of the
+    numerator's and the denominator's `ints`, entry e(t) is a/q with
+    a = N * den.denom and q = num.denom * D.  Each row of B(t) times the lcm of
+    its q is a row of integers, and these rows have the rank of B(t) over Q.
+    Rank mod p = `ratfield._GCD_PRIME` is at most rank over Q, so full rank of
+    the integer rows mod p (`full_rank_mod_p`) proves det B(t) != 0 and hence
+    det B != 0; otherwise the exact determinant decides.
     """
-    n = b.nrows
     k = 0
     while True:
-        t = Fraction((k + 1) // 2 if k % 2 else -(k // 2))
-        dens = [[e.den.eval(t) for e in row] for row in b.rows]
+        t = (k + 1) // 2 if k % 2 else -(k // 2)
+        dens = [[_int_eval(e.den.ints, t) for e in row] for row in b.rows]
         if all(map(all, dens)):
             break
         k += 1
-    value = [[e.num.eval(t) / dv for e, dv in zip(row, drow)]
-             for row, drow in zip(b.rows, dens)]
-    return len(gauss_jordan(value, n)[1]) == n or not b.det().is_zero()
+    rows = []
+    for row, drow in zip(b.rows, dens):
+        value = [(_int_eval(e.num.ints, t) * e.den.denom, e.num.denom * dv)
+                 for e, dv in zip(row, drow)]
+        m = lcm(*(q for _, q in value))
+        rows.append([a * (m // q) for a, q in value])
+    return full_rank_mod_p(rows) or not b.det().is_zero()
 
 
 def g_recursion(ws: Sequence[MPoly], deriv: Derivation) -> list[RatFunc]:

@@ -127,11 +127,6 @@ class MPoly:
     def lc(self):
         return self.terms[self.lm()]
 
-    def degree_in(self, i: int) -> int:
-        if not self.terms:
-            return -1
-        return max(m[i] for m in self.terms)
-
     def involves(self, i: int) -> bool:
         return any(m[i] for m in self.terms)
 

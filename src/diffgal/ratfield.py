@@ -3,7 +3,7 @@
 A univariate polynomial over Q is stored as one tuple of integer coefficients
 over one positive integer denominator, so its arithmetic runs on bare ints
 and builds no `Fraction`; coefficients come back as `Fraction`s only at the
-public boundary (`coeffs`, `lc`, indexing, `eval`).  Rational functions are
+public boundary (`coeffs`, `lc`, indexing).  Rational functions are
 kept in canonical form (monic denominator, coprime numerator and denominator)
 so that equality is structural.  Hermite reduction and Yun squarefree
 decomposition make in-field integrability decidable without factoring
@@ -19,10 +19,15 @@ integer, where the quadratic `math.gcd` costs more than it saves, and when no
 point certifies a gcd, the mod-p coprimality certificate and the primitive PRS
 answer instead.
 
-Inside a `memo_scope` the sums, products and derivatives of `RatFunc`s are
-memoized: each distinct one is computed once and read back after that.  The
-memo lives in a context variable, so it is private to the thread (and the
-context) that opened the scope, and it is dropped when the scope exits.
+Two fractions over one denominator d add with a single gcd, that of the
+summed numerator and d: Henrici's gcd of the two denominators would be d
+itself.
+
+Inside a `memo_scope` the sums, products and derivatives of `RatFunc`s, and
+the gcds of `UPoly.cofactors`, are memoized: each distinct one is computed
+once and read back after that.  The memo lives in a context variable, so it is
+private to the thread (and the context) that opened the scope, and it is
+dropped when the scope exits.
 """
 
 from __future__ import annotations
@@ -39,13 +44,15 @@ from .errors import PrintLimitExceeded, ZeroDenominator, ZeroPolynomial
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-# Results of RatFunc +, * and derive in the open memo scope; None outside one.
+# Results of RatFunc +, * and derive and of UPoly.cofactors in the open memo
+# scope; None outside one.
 _MEMO: ContextVar[dict | None] = ContextVar("diffgal_ratfunc_memo", default=None)
 
 
 @contextmanager
 def memo_scope():
-    """Memoize `RatFunc` sums, products and derivatives until the block exits.
+    """Memoize `RatFunc` sums, products and derivatives, and `UPoly` gcds with
+    their cofactors, until the block exits.
 
     Inside an open scope this opens none and shares the open one.  Usable as a
     decorator too: each call of the decorated function enters the scope.
@@ -131,6 +138,8 @@ class UPoly:
 
     @classmethod
     def const(cls, c) -> "UPoly":
+        if type(c) is int:
+            return _make([c], 1)
         c = _as_fraction(c)
         return _make([c.numerator], c.denominator)
 
@@ -297,19 +306,6 @@ class UPoly:
         m = lcm(*range(1, len(a) + 1))
         return _make([0] + [v * (m // i) for i, v in enumerate(a, 1)], self.denom * m)
 
-    def eval(self, v: Fraction) -> Fraction:
-        """The value at v = p/q: Horner over the integers on q^deg * self(p/q),
-        then one `Fraction`."""
-        a = self.ints
-        if not a:
-            return _ZERO
-        p, q = v.numerator, v.denominator
-        acc, qk = 0, 1
-        for c in reversed(a):
-            acc = acc * p + c * qk
-            qk *= q
-        return Fraction(acc, self.denom * (qk // q))
-
     def gcd(self, other: "UPoly") -> "UPoly":
         """Monic gcd: the first field of `cofactors`, and gcd(p, 0) = p.monic().
 
@@ -333,10 +329,21 @@ class UPoly:
         else, or when none of its points certifies a gcd, the mod-p
         coprimality certificate and then the primitive PRS.  Either way the
         gcd G (primitive, positive leading coefficient) divides a and b
-        exactly over Z, and those quotients give the cofactors.
+        exactly over Z, and those quotients give the cofactors.  Inside a
+        `memo_scope` each distinct pair is computed once.
         """
         if len(self.ints) == 1 or len(other.ints) == 1:
             return _make([1], 1), self, other
+        memo = _MEMO.get()
+        if memo is None:
+            return self._cofactors(other)
+        key = "g", self.ints, self.denom, other.ints, other.denom
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = self._cofactors(other)
+        return out
+
+    def _cofactors(self, other: "UPoly") -> tuple["UPoly", "UPoly", "UPoly"]:
         ca, cb = _igcd(*self.ints), _igcd(*other.ints)
         a = [v // ca for v in self.ints]
         b = [v // cb for v in other.ints]
@@ -370,9 +377,6 @@ class UPoly:
             return a, sa, ta
         inv = 1 / a.lc
         return a * inv, sa * inv, ta * inv
-
-    def is_squarefree(self) -> bool:
-        return self.is_zero() or self.gcd(self.derivative()).degree <= 0
 
     def __str__(self) -> str:
         return poly_str(self)
@@ -730,6 +734,12 @@ class RatFunc:
         if d1.degree == 0 and d2.degree == 0:
             s = n1 + n2
             return RatFunc._raw(s, UPoly.one()) if not s.is_zero() else RatFunc._raw(UPoly.zero(), UPoly.one())
+        if d1 == d2:  # gcd(d1, d2) = d1: only the sum shares factors with it
+            t = n1 + n2
+            if t.is_zero():
+                return RatFunc._raw(UPoly.zero(), UPoly.one())
+            _, t, d = t.cofactors(d1)
+            return RatFunc._raw(t, d)
         g, d1r, d2r = d1.cofactors(d2)
         t = n1 * d2r + n2 * d1r
         if t.is_zero():

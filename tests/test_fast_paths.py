@@ -5,18 +5,20 @@ products, operators parsed over Q(x) and polynomial `apply_operator`."""
 import json
 import random
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
 
-from conftest import rand_ratfunc, rand_small_entry, rand_upoly
+from conftest import rand_fraction_matrices, rand_ratfunc, rand_small_entry, rand_upoly
 from diffgal.cli import _parse_operator
-from diffgal.diffop import FMatrix, SkewOp
+from diffgal.diffop import FMatrix, SkewOp, full_rank_mod_p, gauss_jordan
 from diffgal.errors import NotMonic, ParseError
 from diffgal.integrab import _rational_roots, _vanishes_at
+from diffgal.inverse import _invertible, a_choices_independent
 from diffgal.mpoly import MRat, PolyRing
 from diffgal.parsing import parse_expr
-from diffgal.ratfield import RatFunc, UPoly
+from diffgal.ratfield import _GCD_PRIME, RatFunc, UPoly
 from diffgal.tower import Tower, TowerExpr, apply_operator, nested_solutions
 
 X = RatFunc.x()
@@ -269,3 +271,122 @@ def test_gauss_jordan_keeps_a_pivot_row_that_starts_with_one():
     assert reduced[0][1] is rows[0][1]  # not rebuilt as a product by 1
     reduced, pivots, det = gauss_jordan([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]], 2)
     assert reduced == [[1, 0], [0, 1]] and det == -2
+
+
+# -- one gcd for a sum over one denominator -------------------------------------------------
+
+
+def sum_over_the_product(f: RatFunc, g: RatFunc) -> RatFunc:
+    """f + g as one fraction over the product of the denominators, reduced."""
+    return RatFunc(f.num * g.den + g.num * f.den, f.den * g.den)
+
+
+def fields(f: RatFunc) -> tuple:
+    return f.num.ints, f.num.denom, f.den.ints, f.den.denom
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sum_over_one_denominator_matches_the_general_sum(seed, monkeypatch):
+    rng = random.Random(f"same-den/{seed}")
+    calls = []
+    cofactors = UPoly.cofactors
+
+    def counting(self, other):
+        calls.append(1)
+        return cofactors(self, other)
+
+    monkeypatch.setattr(UPoly, "cofactors", counting)
+    zero = lower = 0
+    for _ in range(30):
+        h = rand_upoly(rng, 2, nonzero=True)
+        while h.degree < 1:
+            h = rand_upoly(rng, 2, nonzero=True)
+        f = RatFunc(rand_upoly(rng, 5), h * rand_upoly(rng, 3, nonzero=True))
+        if f.den.degree < 1:
+            continue
+        k = rand_upoly(rng, 2, nonzero=True)
+        # -f cancels to zero; k*h - f cancels every factor that h shares with
+        # f's denominator, when that one is still f's whole denominator.
+        for g in (-f, RatFunc(rand_upoly(rng, 4), f.den), RatFunc(k * h.monic() - f.num, f.den)):
+            if g.den != f.den:
+                continue
+            want = sum_over_the_product(f, g)
+            del calls[:]
+            got = f + g
+            assert fields(got) == fields(want)
+            assert len(calls) == (0 if got.is_zero() else 1)
+            zero += got.is_zero()
+            lower += 0 <= got.den.degree < f.den.degree and not got.is_zero()
+    assert zero and lower
+
+
+# -- full rank proved modulo one prime ---------------------------------------------------
+
+
+def _integer_rows(rows):
+    """Each rational row times the lcm of its denominators."""
+    out = []
+    for row in rows:
+        m = lcm(*(e.denominator for e in row))
+        out.append([int(e * m) for e in row])
+    return out
+
+
+def test_full_rank_mod_p_agrees_with_gauss_jordan():
+    full = deficient = 0
+    for seed in range(4):
+        for rows in rand_fraction_matrices(seed, 60):
+            exact = len(gauss_jordan(rows, len(rows[0]))[1]) == len(rows)
+            assert full_rank_mod_p(_integer_rows(rows)) == exact
+            full += exact
+            deficient += not exact
+    assert full > 40 and deficient > 40
+
+
+def test_full_rank_mod_p_proves_only_full_rank():
+    p = _GCD_PRIME
+    assert full_rank_mod_p([[1, 2, 3], [0, 0, 5]])
+    assert full_rank_mod_p([])
+    assert not full_rank_mod_p([[1, 2], [2, 4]])
+    assert not full_rank_mod_p([[1], [2]])  # more rows than columns
+    # Independent over Q, singular mod p: "False" proves nothing.
+    assert not full_rank_mod_p([[p, 0], [0, 1]])
+    assert not full_rank_mod_p([[1, 1], [1, 1 + p]])
+    assert len(gauss_jordan([[Fraction(p), 0], [0, Fraction(1)]], 2)[1]) == 2
+
+
+def test_callers_fall_back_when_the_prime_hides_the_rank():
+    p = _GCD_PRIME
+    x = RatFunc.x()
+    # singular mod p
+    assert _invertible(FMatrix([[p, 0], [0, 1]]))
+    # a denominator divisible by p: the row times p is (1, 0)
+    assert _invertible(FMatrix([[RatFunc.from_fraction(Fraction(1, p)), 0], [0, 1]]))
+    assert not _invertible(FMatrix([[p, 1], [p * x, x]]))
+    # numerators over the lcm x^2 - x with determinant p: p and x, then
+    # p + 1 + x and 1 + x
+    assert a_choices_independent([p / (x * x - x), 1 / (x - 1)])
+    assert a_choices_independent([(p + 1 + x) / (x * x - x), (1 + x) / (x * x - x)])
+    assert not a_choices_independent([p / (x * x - x), 2 * p / (x * x - x)])
+
+
+# -- cheap powers of D and integer constants -----------------------------------------------
+
+
+def test_a_power_of_a_monomial_in_d_is_one_monomial():
+    for m in range(4):
+        for k in range(5):
+            want = SkewOp.const(1)
+            for _ in range(k):
+                want = want * SkewOp.D(m)
+            assert SkewOp.D(m) ** k == want == SkewOp.D(m * k)
+    op = SkewOp((X, 1))  # not a monomial: the skew products run
+    assert op ** 2 == op * op and op ** 0 == SkewOp.const(1)
+    assert SkewOp.const(3) ** 2 == SkewOp.const(9)
+
+
+@pytest.mark.parametrize("n", [0, 1, -1, 7, -12, 3 ** 80])
+def test_an_integer_constant_matches_the_fraction_route(n):
+    got, want = UPoly.const(n), UPoly.const(Fraction(n))
+    assert (got.ints, got.denom) == (want.ints, want.denom)
+    assert all(type(v) is int for v in got.ints)

@@ -1,40 +1,20 @@
 """The shared Gauss-Jordan kernel behind rank, nullspace, det and inverse."""
 
-import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import rand_ratfunc
+from conftest import rand_fraction_matrices, rand_ratfunc
 from diffgal.diffop import FMatrix, gauss_jordan
 from diffgal.errors import SingularGauge
 from diffgal.inverse import _nullspace, _rank
 from diffgal.ratfield import RatFunc
 
 
-def _fraction_matrices(seed: int = 0x6A55, count: int = 60):
-    """Seeded random matrices over Q, square and not, many rank-deficient."""
-    rng = random.Random(seed)
-
-    def entry():
-        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-
-    for _ in range(count):
-        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-        if rng.random() < 0.5:
-            yield [[entry() for _ in range(cols)] for _ in range(rows)]
-        else:  # a product through k < min(rows, cols) has rank at most k
-            k = rng.randint(0, max(0, min(rows, cols) - 1))
-            left = [[entry() for _ in range(k)] for _ in range(rows)]
-            right = [[entry() for _ in range(cols)] for _ in range(k)]
-            yield [[sum((left[i][t] * right[t][j] for t in range(k)), Fraction(0))
-                    for j in range(cols)] for i in range(rows)]
-
-
 def test_rank_and_det_match_sympy():
     sp = pytest.importorskip("sympy")
     deficient = 0
-    for rows in _fraction_matrices():
+    for rows in rand_fraction_matrices():
         ref = sp.Matrix([[sp.Rational(e.numerator, e.denominator) for e in r] for r in rows])
         rank = _rank(rows)
         assert rank == ref.rank()
@@ -46,7 +26,7 @@ def test_rank_and_det_match_sympy():
 
 
 def test_nullspace_vectors_are_annihilated():
-    for rows in _fraction_matrices():
+    for rows in rand_fraction_matrices():
         m = len(rows[0])
         basis = _nullspace(rows, m)
         assert len(basis) == m - _rank(rows)
@@ -55,7 +35,7 @@ def test_nullspace_vectors_are_annihilated():
 
 
 def test_reduced_rows_are_in_echelon_form():
-    for rows in _fraction_matrices(count=20):
+    for rows in rand_fraction_matrices(count=20):
         reduced, pivots, _ = gauss_jordan(rows, len(rows[0]))
         for r, c in enumerate(pivots):
             assert reduced[r][c] == 1

@@ -195,3 +195,46 @@ def test_concurrent_pipelines_match_sequential_runs():
         t.join()
     assert not errors
     assert got == want
+
+
+# -- gcds -----------------------------------------------------------------------------
+
+
+def _cofactor_fields(out) -> tuple:
+    return tuple((p.ints, p.denom) for p in out)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_memoized_cofactors_equal_computed_ones(seed):
+    rng = random.Random(f"memo-gcd/{seed}")
+    corpus = []
+    for _ in range(8):
+        common = UPoly([rng.randint(-4, 4) for _ in range(rng.randint(1, 3))] + [1])
+        p = common * UPoly([rng.randint(-5, 5) for _ in range(rng.randint(1, 4))] + [1])
+        # equal `ints` over another `denom`: its cofactor differs from p's
+        corpus += [p, p * Fraction(1, rng.choice((3, 7))), common]
+    pairs = [(rng.choice(corpus), rng.choice(corpus)) for _ in range(60)]
+    plain = [_cofactor_fields(a.cofactors(b)) for a, b in pairs]
+    with memo_scope():
+        first = [_cofactor_fields(a.cofactors(b)) for a, b in pairs]
+        again = [_cofactor_fields(a.cofactors(b)) for a, b in pairs]
+    assert first == plain and again == plain
+
+
+def test_a_repeated_gcd_in_one_scope_runs_no_gcd(monkeypatch):
+    import diffgal.ratfield as ratfield
+
+    calls = []
+    for name in ("_heu_gcd", "_prs_gcd"):
+        run = getattr(ratfield, name)
+        monkeypatch.setattr(ratfield, name, lambda *a, _run=run: calls.append(1) or _run(*a))
+    a = (UPoly([1, 1]) * UPoly([-2, 0, 1])) ** 2
+    b = UPoly([1, 1]) * UPoly([3, 1])
+    with memo_scope():
+        first = a.cofactors(b)
+        n_first = len(calls)
+        assert n_first > 0
+        assert a.cofactors(b) is first
+        assert len(calls) == n_first
+    a.cofactors(b)  # outside a scope every call computes
+    assert len(calls) == 2 * n_first

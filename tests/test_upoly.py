@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from conftest import upoly_eval
 from diffgal.errors import PrintLimitExceeded
 from diffgal.ratfield import RatFunc, UPoly, _coprime_mod_p, poly_str
 
@@ -123,9 +124,9 @@ def test_ring_operations_match_reference(seed):
         check(pa.monic(), ref_monic(a))
         check(pa.derivative(), ref_derivative(a))
         v = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        assert pa.eval(v) == ref_eval(a, v)
-        assert type(pa.eval(v)) is Fraction
-        assert pa.eval(3) == ref_eval(a, Fraction(3))
+        assert upoly_eval(pa, v) == ref_eval(a, v)
+        assert type(upoly_eval(pa, v)) is Fraction
+        assert upoly_eval(pa, 3) == ref_eval(a, Fraction(3))
         assert pa.lc == (a[-1] if a else 0)
         assert [pa[k] for k in range(-1, len(a) + 2)] == [0] + a + [0, 0]
         if b:
@@ -268,12 +269,12 @@ def test_eval_at_fractional_and_negative_points(seed):
         a = rand_coeffs(rng, 7, rng.random() < 0.3)
         pa = UPoly(a)
         for v in points + [Fraction(rng.randint(-9, 9), rng.randint(1, 9))]:
-            got = pa.eval(v)
+            got = upoly_eval(pa, v)
             assert got == ref_eval(a, v) and type(got) is Fraction
-        assert pa.eval(-4) == ref_eval(a, Fraction(-4))
+        assert upoly_eval(pa, -4) == ref_eval(a, Fraction(-4))
     zero = UPoly.zero()
     for v in points + [3]:
-        assert zero.eval(v) == 0 and type(zero.eval(v)) is Fraction
+        assert upoly_eval(zero, v) == 0 and type(upoly_eval(zero, v)) is Fraction
 
 
 # -- printing ------------------------------------------------------------------

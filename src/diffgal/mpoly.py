@@ -296,6 +296,19 @@ class MPoly:
         return f"MPoly({self})"
 
 
+def _add_term(acc: dict, m: Monomial, c) -> None:
+    """acc[m] += c for a nonzero c, dropping a sum that is zero."""
+    s = acc.get(m)
+    if s is None:
+        acc[m] = c
+    else:
+        s = s + c
+        if s:
+            acc[m] = s
+        else:
+            del acc[m]
+
+
 def _mono_divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
@@ -444,12 +457,17 @@ class Derivation:
     def derive(self, p: MPoly) -> MPoly:
         ring = self.ring
         out = self.scaled(MPoly(ring, {m: dc for m, c in p.terms.items() if (dc := c.derive())}))
+        # Add every Leibniz term c*e*image into one dict.
+        acc = dict(out.terms)
         for m, c in p.terms.items():
             for i, e in enumerate(m):
-                if e and self.images[i].terms:
-                    lowered = tuple(x - 1 if k == i else x for k, x in enumerate(m))
-                    out = out + MPoly(ring, {lowered: c * e}) * self.images[i]
-        return out
+                image = self.images[i].terms
+                if e and image:
+                    ce = c * e
+                    lowered = m[:i] + (e - 1,) + m[i + 1:]
+                    for mi, ci in image.items():
+                        _add_term(acc, tuple(a + b for a, b in zip(lowered, mi)), ce * ci)
+        return MPoly(ring, acc)
 
 
 class MRat:
@@ -488,11 +506,9 @@ class MRat:
         return self.den.is_constant() and self.den.constant_coeff() == self.ring.cone
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, MRat):
-            try:
-                other = MRat(self.ring.const(other))
-            except TypeError:
-                return NotImplemented
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         return (self.num * other.den - other.num * self.den).is_zero()
 
     def __neg__(self) -> "MRat":

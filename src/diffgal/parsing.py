@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the shared expression grammar.
+"""Parser for the shared expression grammar: one compile pass, then one loop.
 
 Grammar: integer literals, named atoms, `+ - * / ^`, parentheses.  `^` takes a
 nonnegative integer exponent.  The same parser serves ideal generators (atoms
@@ -6,21 +6,30 @@ nonnegative integer exponent.  The same parser serves ideal generators (atoms
 operators (atom `D`) and tower expressions (generator names), because all
 value types implement the ring operators.
 
-`parse_over_qx` computes each value in the smallest ring that holds it: `x`
-and the integer literals are Q[x] polynomials (`UPoly`), which stay
-polynomials under `+ - * ^` and under division by a nonzero constant, and
-become one `RatFunc` at a division by a non-constant.  A value enters an
-atom's ring (operators, fractions over a tower ring) only where it meets that
-atom.
+A text is read in two steps.  A regex scan splits it into tokens, and one
+recursive descent over them checks the syntax, the nesting, the degree of
+every sum, product, quotient and power and the work of all powers, and emits
+a postfix program.  Only a text that passes every bound is computed, by one
+loop over that program.
+
+`parse_over_qx` computes each value in the smallest ring that holds it.  A
+value that has met only integer literals, `x`, `+ - * ^` and division by a
+nonzero constant is kept as {degree: int} over one common denominator, and a
+run such as `3/16*x^5` is one instruction.  Such a value becomes one Q[x]
+polynomial (`UPoly`) where it meets anything else and at the end; a
+polynomial becomes one `RatFunc` at a division by a non-constant.  A value
+enters an atom's ring (operators, fractions over a tower ring) only where it
+meets that atom.
 """
 
 from __future__ import annotations
 
 import re
+from math import gcd
 from typing import Callable, Mapping
 
 from .errors import ParseError
-from .ratfield import RatFunc, UPoly
+from .ratfield import RatFunc, UPoly, _make
 
 # Open parentheses plus pending unary signs; deeper input is a ParseError
 # rather than a RecursionError.
@@ -39,33 +48,29 @@ MAX_POWER_DEGREE = 1000
 # witness once more, and the cost grows faster than the depth.
 MAX_DEPTH = 100
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^|\*|/|\+|-|\(|\)))")
+_OPS = frozenset("^*/+-()")
+_SCAN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|[-+*/^()])")
+# A character that is neither whitespace nor part of any token.
+_BAD = re.compile(r"[^\s\dA-Za-z_^*/+()-]")
+
+
+def _scan(text: str) -> list[str]:
+    """The token texts of `text`."""
+    bad = _BAD.search(text)
+    if bad:
+        # Tokens are read up to the last one before the bad character.
+        end = len(text[:bad.start()].rstrip())
+        raise ParseError(f"unexpected character {bad.group()!r} at offset {end}")
+    return _SCAN.findall(text)
 
 
 def tokenize(text: str) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos:].strip()[0]!r} at offset {pos}")
-            break
-        if m.group(1) is not None:
-            tokens.append(("int", m.group(1)))
-        elif m.group(2) is not None:
-            tokens.append(("name", m.group(2)))
-        else:
-            tokens.append(("op", m.group(3)))
-        pos = m.end()
-    return tokens
+    """(kind, text) of each token, kind one of "int", "name" and "op"."""
+    return [("op" if t in _OPS else "int" if t.isdecimal() else "name", t) for t in _scan(text)]
 
 
-def _bounded(what: str, *degrees: int) -> tuple[int, ...]:
-    """The degrees of a `what`, or a ParseError when one exceeds MAX_POWER_DEGREE."""
-    if max(degrees) > MAX_POWER_DEGREE:
-        raise ParseError(f"{what} of degree above {MAX_POWER_DEGREE}")
-    return degrees
+def _over(what: str) -> ParseError:
+    return ParseError(f"{what} of degree above {MAX_POWER_DEGREE}")
 
 
 def _integer(digits: str) -> int:
@@ -75,141 +80,276 @@ def _integer(digits: str) -> int:
         raise ParseError(f"integer literal of {len(digits)} digits is too long") from exc
 
 
-class _Parser:
-    """Each rule returns (value, (a, b)), where a and b bound the degrees of a
-    numerator and a denominator of the value in its atoms."""
+# Instructions of the postfix program, each (opcode, argument).  _LIT pushes
+# n/d * x^e for an argument (n, d, e) of literal ints, d > 0; only
+# `parse_over_qx` programs hold it.
+_INT, _ATOM, _LIT, _NEG, _POW, _ADD, _SUB, _MUL, _DIV = range(9)
 
-    def __init__(self, tokens, atoms: Mapping[str, object], const: Callable[[int], object],
-                 check_divisor: Callable[[object], None]):
-        self.tokens = tokens
+
+class _Compiler:
+    """One recursive descent over the tokens.  Each rule appends its postfix
+    instructions to `program` and returns (a, b), bounds on the degrees of a
+    numerator and a denominator of its value in the atoms; `work` sums the
+    work of the powers.  With `fold`, integer literals and `x` are _LIT
+    instructions."""
+
+    def __init__(self, tokens: list[str], atoms: Mapping[str, object], fold: bool):
+        self.tokens = tokens + [None]  # None ends the input
         self.pos = 0
         self.atoms = atoms
-        self.const = const
-        self.check_divisor = check_divisor
+        self.fold = fold
         self.depth = 0
         self.work = 0
+        self.program: list[tuple[int, object]] = []
 
-    def nest(self, parse):
-        """Run `parse` one nesting level deeper."""
+    def nest(self, rule):
+        """Run `rule` one nesting level deeper."""
         if self.depth >= MAX_NESTING:
             raise ParseError(f"expression nested deeper than {MAX_NESTING} levels")
         self.depth += 1
-        v = parse()
+        deg = rule()
         self.depth -= 1
-        return v
+        return deg
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}, found {val!r}")
-
-    def parse(self):
-        v, _ = self.expr()
-        if self.pos != len(self.tokens):
-            raise ParseError(f"trailing input near {self.peek()[1]!r}")
-        return v
+    def compile(self) -> list[tuple[int, object]]:
+        self.expr()
+        if self.tokens[self.pos] is not None:
+            raise ParseError(f"trailing input near {self.tokens[self.pos]!r}")
+        if self.work > MAX_POWER_DEGREE**2:
+            raise ParseError(f"powers whose work exceeds one power of degree {MAX_POWER_DEGREE}")
+        return self.program
 
     def expr(self):
-        kind, val = self.peek()
-        negate = False
-        if kind == "op" and val in "+-":
-            self.take()
-            negate = val == "-"
-        v, (a, b) = self.term()
+        tok = self.tokens[self.pos]
+        negate = tok == "-"
+        if negate or tok == "+":
+            self.pos += 1
+        a, b = self.term()
         if negate:
-            v = -v
+            self.program.append((_NEG, None))
         while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs, (c, d) = self.term()
-                a, b = _bounded("sum", max(a + d, c + b), b + d)
-                v = v + rhs if val == "+" else v - rhs
-            else:
-                return v, (a, b)
+            tok = self.tokens[self.pos]
+            if tok != "+" and tok != "-":
+                return a, b
+            self.pos += 1
+            c, d = self.term()
+            a, b = max(a + d, c + b), b + d
+            if a > MAX_POWER_DEGREE or b > MAX_POWER_DEGREE:
+                raise _over("sum")
+            self.program.append((_ADD if tok == "+" else _SUB, None))
+
+    def product(self, op: int) -> None:
+        """Append _MUL or _DIV; on two literal operands, n/d and n/d*x^e stay
+        one _LIT instruction."""
+        prog = self.program
+        if prog[-1][0] == _LIT and prog[-2][0] == _LIT:  # each operand is one instruction
+            (n, d, e), (m, c, k) = prog[-2][1], prog[-1][1]
+            if op == _DIV and m and (d, e, c, k) == (1, 0, 1, 0):
+                prog[-2:] = [(_LIT, (n, m, 0))]
+                return
+            if op == _MUL and e == 0 and (m, c) == (1, 1):
+                prog[-2:] = [(_LIT, (n, d, k))]
+                return
+        prog.append((op, None))
 
     def term(self):
-        v, (a, b) = self.factor()
+        a, b = self.factor()
         while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "*/":
-                self.take()
-                rhs, (c, d) = self.factor()
-                if val == "*":
-                    a, b = _bounded("product", a + c, b + d)
-                else:
-                    a, b = _bounded("quotient", a + d, b + c)
-                try:
-                    if val == "*":
-                        v = v * rhs
-                    else:
-                        self.check_divisor(rhs)
-                        v = v / rhs
-                except ArithmeticError as exc:  # division by zero or by a non-constant
-                    raise ParseError(str(exc)) from exc
+            tok = self.tokens[self.pos]
+            if tok == "*":
+                self.pos += 1
+                c, d = self.factor()
+                a, b = a + c, b + d
+                if a > MAX_POWER_DEGREE or b > MAX_POWER_DEGREE:
+                    raise _over("product")
+                self.product(_MUL)
+            elif tok == "/":
+                self.pos += 1
+                c, d = self.factor()
+                a, b = a + d, b + c
+                if a > MAX_POWER_DEGREE or b > MAX_POWER_DEGREE:
+                    raise _over("quotient")
+                self.product(_DIV)
             else:
-                return v, (a, b)
+                return a, b
 
     def factor(self):
-        kind, val = self.peek()
-        if kind == "op" and val == "-":
-            self.take()
-            v, deg = self.nest(self.factor)
-            return -v, deg
-        if kind == "op" and val == "+":
-            self.take()
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        if tok == "-":
+            deg = self.nest(self.factor)
+            self.program.append((_NEG, None))
+            return deg
+        if tok == "+":
             return self.nest(self.factor)
-        return self.power()
-
-    def power(self):
-        base, (a, b) = self.atom()
-        kind, val = self.peek()
-        if kind == "op" and val == "^":
-            self.take()
-            kind, val = self.take()
-            if kind != "int":
-                raise ParseError("exponent must be a nonnegative integer")
-            e = _integer(val)
-            m = max(a, b, 1)
-            _bounded("power", e * m)
-            self.work += max(e * e - 1, 0) * m * m  # ^0 undoes no work done on its base
-            return base ** e, (e * a, e * b)
-        return base, (a, b)
-
-    def atom(self):
-        kind, val = self.take()
-        if kind == "int":
-            return self.const(_integer(val)), (0, 0)
-        if kind == "name":
-            try:
-                return self.atoms[val], (1, 0)
-            except KeyError:
-                raise ParseError(f"unknown name {val!r}") from None
-        if kind == "op" and val == "(":
-            v = self.nest(self.expr)
-            self.expect_op(")")
-            return v
-        raise ParseError(f"unexpected token {val!r}")
-
-
-class _Shape:
-    """The one value of a degree-only pass: its arithmetic costs nothing."""
-
-    def _same(self, *_):
-        return self
-
-    __neg__ = __add__ = __sub__ = __mul__ = __truediv__ = __pow__ = _same
+        # the atom
+        if tok == "(":
+            a, b = self.nest(self.expr)
+            tok = self.tokens[self.pos]
+            self.pos += 1
+            if tok != ")":
+                raise ParseError(f"expected ')', found {tok!r}")
+        elif tok is None or tok in _OPS:
+            raise ParseError(f"unexpected token {tok!r}")
+        elif tok.isdecimal():
+            n = _integer(tok)
+            self.program.append((_LIT, (n, 1, 0)) if self.fold else (_INT, n))
+            a = b = 0
+        elif tok not in self.atoms:
+            raise ParseError(f"unknown name {tok!r}")
+        else:
+            self.program.append((_LIT, (1, 1, 1)) if self.fold and self.atoms[tok] is _X
+                                else (_ATOM, tok))
+            a, b = 1, 0
+        # its power
+        if self.tokens[self.pos] != "^":
+            return a, b
+        tok = self.tokens[self.pos + 1]
+        self.pos += 2
+        if tok is None or not tok.isdecimal():
+            raise ParseError("exponent must be a nonnegative integer")
+        e = _integer(tok)
+        m = max(a, b, 1)
+        if e * m > MAX_POWER_DEGREE:
+            raise _over("power")
+        self.work += max(e * e - 1, 0) * m * m  # ^0 undoes no work done on its base
+        if self.program[-1] == (_LIT, (1, 1, 1)):  # x^e
+            self.program[-1] = (_LIT, (1, 1, e))
+        else:
+            self.program.append((_POW, e))
+        return e * a, e * b
 
 
-_SHAPE = _Shape()
+class _Lit:
+    """A value of `parse_over_qx` that has met only integer literals, `x`,
+    `+ - *`, `^` and division by a nonzero constant: {degree: nonzero int}
+    over one positive int denominator, in no canonical form.  `poly` turns
+    it into the `UPoly` it equals; `UPoly` is canonical, so that is the value
+    the `UPoly` arithmetic gives."""
+
+    __slots__ = ("terms", "den")
+
+    def __init__(self, terms: dict[int, int], den: int):
+        self.terms = terms
+        self.den = den
+
+    def poly(self) -> UPoly:
+        t = self.terms
+        ints = [0] * (max(t) + 1 if t else 0)
+        for k, v in t.items():
+            ints[k] = v
+        return _make(ints, self.den)
+
+    def __neg__(self) -> "_Lit":
+        return _Lit({k: -v for k, v in self.terms.items()}, self.den)
+
+    def add(self, other: "_Lit", sign: int) -> "_Lit":
+        ta, da = self.terms, self.den
+        tb, db = other.terms, other.den
+        if da != db:
+            g = gcd(da, db)
+            sa, sb = db // g, da // g
+            ta = {k: v * sa for k, v in ta.items()}
+            tb = {k: v * sb for k, v in tb.items()}
+            da *= sa
+        else:
+            ta = dict(ta)
+        for k, v in tb.items():
+            s = ta.get(k, 0) + sign * v
+            if s:
+                ta[k] = s
+            else:
+                del ta[k]
+        return _Lit(ta, da)
+
+    def mul(self, other: "_Lit") -> "_Lit":
+        ta, tb = self.terms, other.terms
+        if len(ta) < len(tb):
+            ta, tb = tb, ta
+        if len(tb) > 1:  # two polynomials: the UPoly product
+            return _Lit.of(self.poly() * other.poly())
+        # a monomial, or zero, shifts every term, so no two terms meet
+        return _Lit({k + j: v * c for j, c in tb.items() for k, v in ta.items()},
+                    self.den * other.den)
+
+    def div(self, other: "_Lit") -> "_Lit | None":
+        """The quotient by a nonzero constant, else None."""
+        tb = other.terms
+        c = tb.get(0)
+        if c is None or len(tb) != 1:
+            return None
+        d = other.den
+        if c < 0:
+            c, d = -c, -d
+        return _Lit({k: v * d for k, v in self.terms.items()}, self.den * c)
+
+    def pow(self, e: int) -> "_Lit":
+        t = self.terms
+        if not e:
+            return _Lit({0: 1}, 1)
+        if len(t) <= 1:
+            return _Lit({k * e: v**e for k, v in t.items()}, self.den**e)
+        return _Lit.of(self.poly() ** e)
+
+    @staticmethod
+    def of(p: UPoly) -> "_Lit":
+        return _Lit({k: v for k, v in enumerate(p.ints) if v}, p.denom)
+
+
+_X = _Lit({1: 1}, 1)
+
+
+def _lit_const(k: int) -> _Lit:
+    return _Lit({0: k} if k else {}, 1)
+
+
+def _run(program, atoms: Mapping[str, object], const: Callable[[int], object],
+         check_divisor: Callable[[object], None]):
+    """The value of a compiled program: one loop over its instructions."""
+    stack: list = []
+    push, pop = stack.append, stack.pop
+    for op, arg in program:
+        if op == _LIT:
+            n, d, e = arg
+            push(_Lit({e: n} if n else {}, d))
+        elif op == _INT:
+            push(const(arg))
+        elif op == _ATOM:
+            push(atoms[arg])
+        elif op == _POW:
+            v = stack[-1]
+            stack[-1] = v.pow(arg) if type(v) is _Lit else v**arg
+        elif op == _NEG:
+            stack[-1] = -stack[-1]
+        else:
+            b = pop()
+            a = stack[-1]
+            if type(a) is _Lit:
+                if type(b) is _Lit:
+                    v = (a.mul(b) if op == _MUL else a.div(b) if op == _DIV
+                         else a.add(b, 1 if op == _ADD else -1))
+                    if v is not None:
+                        stack[-1] = v
+                        continue
+                    b = b.poly()
+                a = a.poly()
+            elif type(b) is _Lit:
+                b = b.poly()
+            if op == _ADD:
+                stack[-1] = a + b
+            elif op == _SUB:
+                stack[-1] = a - b
+            else:
+                try:
+                    if op == _MUL:
+                        stack[-1] = a * b
+                    else:
+                        check_divisor(b)
+                        stack[-1] = a / b
+                except ArithmeticError as exc:  # division by zero or by a non-constant
+                    raise ParseError(str(exc)) from exc
+    v = stack[0]
+    return v.poly() if type(v) is _Lit else v
 
 
 def _any_divisor(_) -> None:
@@ -220,22 +360,19 @@ def parse_expr(text: str, atoms: Mapping[str, object], const: Callable[[int], ob
                check_divisor: Callable[[object], None] = _any_divisor):
     """Parse `text` over the given atom environment.
 
-    A first pass reads only the syntax, the degrees and the work of the
+    The compile pass reads the syntax, the degrees and the work of the
     powers, so input over a bound is rejected before any arithmetic is done.
-    `check_divisor` sees each divisor before its division and raises a
-    `ZeroDivisionError` for one that is zero where the values' arithmetic
-    cannot tell.
+    `check_divisor` sees each divisor before its division, except a nonzero
+    constant folded from literals, and raises a `ZeroDivisionError` for one
+    that is zero where the values' arithmetic cannot tell.
     """
     if not isinstance(text, str):
         raise ParseError(f"expected an expression string, got {text!r}")
-    tokens = tokenize(text)
+    tokens = _scan(text)
     if not tokens:
         raise ParseError("empty expression")
-    shape = _Parser(tokens, dict.fromkeys(atoms, _SHAPE), lambda _: _SHAPE, _any_divisor)
-    shape.parse()
-    if shape.work > MAX_POWER_DEGREE**2:
-        raise ParseError(f"powers whose work exceeds one power of degree {MAX_POWER_DEGREE}")
-    return _Parser(tokens, atoms, const, check_divisor).parse()
+    program = _Compiler(tokens, atoms, const is _lit_const).compile()
+    return _run(program, atoms, const, check_divisor)
 
 
 def parse_over_qx(text: str, atoms: Mapping[str, object] | None = None,
@@ -244,7 +381,7 @@ def parse_over_qx(text: str, atoms: Mapping[str, object] | None = None,
 
     The value is a `UPoly`, a `RatFunc` or a value of the atoms' own type.
     """
-    return parse_expr(text, {"x": UPoly.x(), **(atoms or {})}, UPoly.const, check_divisor)
+    return parse_expr(text, {"x": _X, **(atoms or {})}, _lit_const, check_divisor)
 
 
 def parse_ratfunc(text: str) -> RatFunc:

@@ -18,7 +18,7 @@ from typing import Sequence
 # benchmark's span recorder traces it under this name.
 from .diffop import FMatrix, SkewOp, build_Lf, check_nonzero  # noqa: F401
 from .errors import DegenerateGenerator, NotPolynomialInTheta, ZeroEntry
-from .mpoly import Derivation, MPoly, MRat, PolyRing, _divmod
+from .mpoly import Derivation, MPoly, MRat, PolyRing, _add_term, _divmod
 from .parsing import MAX_POWER_DEGREE, parse_over_qx
 from .ratfield import RatFunc
 
@@ -53,6 +53,7 @@ class Tower:
         self.radical: tuple[int, int] | None = None
         self.ring = PolyRing((), coeff="ratfunc")
         self._derivation: Derivation | None = None
+        self._atom_cache: tuple[PolyRing | None, dict[str, MRat]] = (None, {})
 
     @property
     def derivation(self) -> Derivation:
@@ -162,9 +163,17 @@ class Tower:
         over the tower ring, so the text becomes one `MRat`; radical reduction
         and rationalisation run once, on that fraction.
         """
-        atoms = {g.name: MRat.from_poly(self.ring.var(g.name)) for g in self.gens}
-        val = parse_over_qx(text, atoms, self._check_divisor)
+        val = parse_over_qx(text, self._atoms(), self._check_divisor)
         return TowerExpr._wrap(self, val) if isinstance(val, MRat) else self.expr(val)
+
+    def _atoms(self) -> dict[str, MRat]:
+        """Each generator name bound to its fraction over the tower ring; built
+        once per ring, like the derivation."""
+        ring, atoms = self._atom_cache
+        if ring is not self.ring:
+            atoms = {g.name: MRat.from_poly(self.ring.var(g.name)) for g in self.gens}
+            self._atom_cache = (self.ring, atoms)
+        return atoms
 
     def _check_divisor(self, v) -> None:
         """Raise on a divisor that is zero in the tower: a radical th^root - x is
@@ -384,13 +393,14 @@ def apply_operator(op: SkewOp, e: TowerExpr) -> TowerExpr:
         # derive and sum in the polynomial ring, with no fraction to normalise.
         ring = tower.ring
         p = _lift_poly(e.num, ring)
-        acc = ring.zero()
+        acc: dict = {}
         for i, c in enumerate(op.coeffs):
             if i:
                 p = deriv.derive(p)
             if c:
-                acc = acc + p.scale(c)
-        return TowerExpr._raw(tower, acc, ring.one())
+                for m, v in p.terms.items():
+                    _add_term(acc, m, v * c)
+        return TowerExpr._raw(tower, MPoly(ring, acc), ring.one())
     out = tower.zero()
     d = e
     for i, c in enumerate(op.coeffs):

@@ -28,6 +28,15 @@ def c(f) -> SkewOp:
     return SkewOp.const(f)
 
 
+def test_operators_reject_other_types():
+    assert D != "D" and D != object()
+    for other in ("D", object()):
+        with pytest.raises(TypeError):
+            D + other
+        with pytest.raises(TypeError):
+            other * D
+
+
 class TestSkewMul:
     def test_defining_rule(self):
         assert D * c(X) == c(X) * D + 1

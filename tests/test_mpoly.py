@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_ratfunc
+from diffgal.diffop import SkewOp
 from diffgal.errors import BudgetExceeded
 from diffgal.mpoly import (
     Derivation,
@@ -247,6 +248,20 @@ class TestMRat:
         inner = MRat.from_poly(z23 + ring.const(X / (X - 1)))
         g2 = inner.derive(d).inverse()
         assert g2 == MRat.from_poly(ring.const(-((X - 1) ** 2)))
+
+    def test_mixes_with_polynomials_and_rejects_other_types(self):
+        ring = z3_ring("ratfunc")
+        z12, z13, z23 = ring.gens()
+        f = MRat(z13, z12)
+        # MPoly defers to MRat for a fraction, in either order
+        assert z23 + f == f + z23 == MRat(z13 + z12 * z23, z12)
+        assert z23 * f == MRat(z13 * z23, z12)
+        assert MRat.from_poly(z23) == z23 and z23 == MRat.from_poly(z23)
+        assert f != "Z_1_3/Z_1_2" and z23 != "Z_2_3"
+        with pytest.raises(TypeError):
+            f + "Z_2_3"
+        with pytest.raises(TypeError):
+            z23 * SkewOp.D()
 
     def test_univariate_gcd_shortening(self):
         ring = z3_ring("ratfunc")

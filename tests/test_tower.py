@@ -266,6 +266,15 @@ class TestDegenerateGenerators:
             tw.add_exp("t", RatFunc.from_int(3))
 
 
+def test_tower_expressions_reject_other_types():
+    tw, th = log_tower()
+    frac = tw.parse("1/th")._frac()
+    assert th != "th" and th != frac
+    for other in ("th", frac, SkewOp.D()):
+        with pytest.raises(TypeError):
+            th + other
+
+
 class TestApplyOperator:
     def test_dxd_kills_log(self):
         tw, th = log_tower()

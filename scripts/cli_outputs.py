@@ -12,7 +12,13 @@ answers therefore give byte-identical files:
 
     cmp parent.json change.json
 
-The exit status is 1 when a request raised an exception instead of
+or, with no file written:
+
+    python3 scripts/cli_outputs.py --seeds 1-10 --compare parent.json
+
+`--compare OLD.json` prints the id of each request whose answer differs from
+the one in OLD.json, or that only one of the two has, and exits 1 when any
+does. The exit status is also 1 when a request raised an exception instead of
 answering, else 0.
 """
 
@@ -72,13 +78,22 @@ def outputs(workload: str, seed: int) -> tuple[dict[str, dict], int]:
     return answers, raised
 
 
+def differing(old: dict[str, dict], new: dict[str, dict]) -> list[str]:
+    """Sorted ids whose answers differ, counting an id that one side lacks."""
+    return sorted(key for key in old.keys() | new.keys() if old.get(key) != new.get(key))
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", default="1", help="e.g. 1-10, 3 or 1,4,7")
     ap.add_argument("--workloads", default=",".join(WORKLOADS),
                     help="comma-separated subset of " + ", ".join(WORKLOADS))
-    ap.add_argument("--out", required=True, help="where to write the JSON")
+    ap.add_argument("--out", help="where to write the JSON")
+    ap.add_argument("--compare", metavar="OLD.json",
+                    help="print the ids whose answers differ from this file's; exit 1 if any do")
     args = ap.parse_args(argv)
+    if not (args.out or args.compare):
+        ap.error("give --out, --compare or both")
     workloads = args.workloads.split(",")
     unknown = sorted(set(workloads) - set(WORKLOADS))
     if unknown:
@@ -91,8 +106,19 @@ def main(argv: list[str] | None = None) -> int:
             answers.update(got)
             raised += bad
             print(f"{workload} seed {seed}: {len(got)} requests, {bad} raised", file=sys.stderr)
-    Path(args.out).write_text(json.dumps(answers, indent=1, sort_keys=True) + "\n")
-    return 1 if raised else 0
+    if args.out:
+        Path(args.out).write_text(json.dumps(answers, indent=1, sort_keys=True) + "\n")
+    status = 1 if raised else 0
+    if args.compare:
+        old = json.loads(Path(args.compare).read_text())
+        changed = differing(old, answers)
+        for key in changed:
+            print(key)
+        print(f"{len(changed)} of {len(old.keys() | answers.keys())} requests differ",
+              file=sys.stderr)
+        if changed:
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

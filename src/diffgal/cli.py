@@ -246,18 +246,30 @@ def _tower_decls(tower: Tower) -> list[dict]:
 
 
 def _standard_tower(field: str) -> Tower:
-    tower = Tower()
-    if field == "exp":
-        tower.add_exp("t", tower.x())
-    elif field == "log":
-        tower.add_log("L", RatFunc.x())
-    elif field.startswith("radical:"):
+    """The one-generator tower of an `integrate --field`, shared by every call
+    with the same kind and root: `radical:007` and `radical:7` get one tower."""
+    if field in ("exp", "log"):
+        return _built_tower(field, None)
+    if field.startswith("radical:"):
         root = field.split(":", 1)[1]
         if not re.fullmatch("[0-9]+", root):
             raise ParseError(f"field {field!r} needs a root of decimal digits")
-        tower.add_radical("r", _integer(root))
+        return _built_tower("radical", _integer(root))
+    raise ParseError(f"unknown field {field!r}")
+
+
+@functools.cache
+def _built_tower(kind: str, root: int | None) -> Tower:
+    """Built once per process.  A root outside 2..MAX_POWER_DEGREE raises and is
+    not cached, so the cache holds at most MAX_POWER_DEGREE + 1 towers.  Callers
+    only parse in the tower and classify; none adds a generator to it."""
+    tower = Tower()
+    if kind == "exp":
+        tower.add_exp("t", tower.x())
+    elif kind == "log":
+        tower.add_log("L", RatFunc.x())
     else:
-        raise ParseError(f"unknown field {field!r}")
+        tower.add_radical("r", root)
     return tower
 
 

@@ -6,6 +6,14 @@ infinity-integrability classifiers for the exp-, log- and radical towers (with
 witnesses for finite depths).  Every witness is checked by differentiating it
 back to the input.
 
+The log parts of a squarefree remainder p/q start at the rational poles of q.
+They come from the roots of q modulo a small prime, Newton-lifted p-adically
+and rationally reconstructed, so no integer is factored; each pole alpha has
+the residue p(alpha)/q'(alpha).  Only the cofactor of q with no rational root
+goes to the Rothstein-Trager resultant, whose rational roots are searched among
++-num/den over the divisors of its end coefficients, within
+`_FACTOR_TRIAL_LIMIT` candidates and factoring trials.
+
 Residues are only split over Q; inputs that need algebraic constants raise
 NotSupported rather than returning wrong answers.
 """
@@ -14,10 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
 
 from .errors import BudgetExceeded, NotPolynomialInTheta, NotSupported
-from .ratfield import RatFunc, UPoly, _primitive_int_list, hermite_reduce, resultant
+from .ratfield import (RatFunc, UPoly, _conv, _coprime_mod_p, _make, _primitive_int_list,
+                       hermite_reduce, resultant)
 from .tower import Tower, TowerExpr, laurent_normal
 
 _FACTOR_TRIAL_LIMIT = 1_000_000
@@ -117,52 +126,116 @@ def _rational_roots(p: UPoly) -> list[Fraction]:
     return roots
 
 
-def _vanishes_at(coeffs: list[int], v: Fraction) -> bool:
-    """Whether the integer polynomial vanishes at v: den^deg * p(num/den),
-    by Horner on ints alone, is zero."""
-    num, den = v.numerator, v.denominator
+def _homogeneous(coeffs: list[int], num: int, den: int) -> int:
+    """den^deg * p(num/den) of the integer polynomial p, by Horner on ints."""
     acc, scale = 0, 1
     for c in reversed(coeffs):
         acc = acc * num + c * scale
         scale *= den
-    return acc == 0
+    return acc
+
+
+def _vanishes_at(coeffs: list[int], v: Fraction) -> bool:
+    """Whether the integer polynomial vanishes at v."""
+    return _homogeneous(coeffs, v.numerator, v.denominator) == 0
 
 
 def _resultant_in_residue(q: UPoly, p: UPoly) -> UPoly:
     """R(c) = res_x(q, p - c q') computed by interpolation over Q."""
-    d = q.degree
     dq = q.derivative()
-    points = []
-    for k in range(d + 1):
-        c = Fraction(k)
-        val = resultant(q, p - dq * c)
-        points.append((c, val))
-    return _lagrange(points)
+    return _lagrange([(k, resultant(q, p - dq * k)) for k in range(q.degree + 1)])
 
 
-def _lagrange(points: list[tuple[Fraction, Fraction]]) -> UPoly:
-    out = UPoly.zero()
+def _lagrange(points: list[tuple[int, Fraction]]) -> UPoly:
+    """The polynomial of degree < len(points) through the points, at integer
+    nodes: the sum of y_i prod_{j != i} (x - x_j)/(x_i - x_j), each product
+    over Z, added over one common denominator."""
+    terms = []
     for i, (xi, yi) in enumerate(points):
-        if yi == 0:
-            continue
-        term = UPoly((yi,))
-        for j, (xj, _) in enumerate(points):
-            if i != j:
-                term = term * UPoly((-xj, Fraction(1))) * (1 / (xi - xj))
-        out = out + term
-    return out
+        if yi:
+            basis, den = [1], 1
+            for j, (xj, _) in enumerate(points):
+                if j != i:
+                    basis = _conv(basis, (-xj, 1))
+                    den *= xi - xj
+            terms.append((basis, yi / den))
+    common = lcm(*(c.denominator for _, c in terms))
+    acc = [0] * len(points)
+    for basis, c in terms:
+        scale = c.numerator * (common // c.denominator)
+        for e, v in enumerate(basis):
+            acc[e] += scale * v
+    return _make(acc, common)
 
 
-def rational_log_parts(remainder: RatFunc) -> list[tuple[Fraction, UPoly]]:
-    """Write a proper fraction with squarefree denominator as
-    sum c_k * g_k'/g_k with rational constants and monic factors g_k.
+def _odd_primes():
+    p = 3
+    while True:
+        if all(p % k for k in range(3, isqrt(p) + 1, 2)):
+            yield p
+        p += 2
 
-    Raises NotSupported when the residues are not all rational (splitting an
-    irreducible factor would need algebraic constants).
+
+def _eval_mod(coeffs: list[int], t: int, m: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * t + c) % m
+    return acc
+
+
+def _reconstruct(u: int, m: int, n: int, d: int) -> tuple[int, int] | None:
+    """(a, b) with a = b*u mod m, |a| <= n and 0 < b <= d, or None.  When
+    m > 2*n*d there is at most one a/b, and it is the first remainder <= n of
+    Euclid on (m, u) over its cofactor of u (Wang's rational reconstruction)."""
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 > n:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if not 0 < abs(t1) <= d:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _lifted_roots(f: list[int]) -> list[tuple[int, int]]:
+    """The rational roots a/b, as pairs (a, b) with b > 0, of a squarefree
+    integer polynomial f with f(0) != 0.
+
+    No integer is factored.  A root a/b in lowest terms has a | f(0) and
+    b | lc(f), so at the first odd prime p with lc(f) and lc(f') nonzero and
+    f squarefree mod p, a/b is a simple root mod p.  Newton's iteration lifts
+    each root mod p to the unique root mod m = p^(2^k) > 2 |f(0)| |lc(f)|, and
+    rational reconstruction with |a| <= |f(0)|, 0 < b <= |lc(f)| gives back
+    a/b.  The failing primes divide deg(f) lc(f) res(f, f'), which Hadamard's
+    bound caps, so a product of failing primes past the cap proves that f is
+    not squarefree.
     """
-    p, q = remainder.num, remainder.den
-    if p.is_zero():
-        return []
+    df = [i * c for i, c in enumerate(f)][1:]
+    failed = 1
+    for p in _odd_primes():
+        if _coprime_mod_p(f, df, p):
+            break
+        failed *= p
+        deg, height = len(f) - 1, max(map(abs, f))
+        if failed > deg ** (deg + 1) * ((deg + 1) * height) ** (2 * deg):
+            raise ValueError("the polynomial is not squarefree")
+    n, d = abs(f[0]), abs(f[-1])
+    roots = []
+    for t in range(p):
+        if _eval_mod(f, t, p):
+            continue
+        u, m = t, p  # f(u) = 0 mod m
+        while m <= 2 * n * d:
+            m *= m
+            u = (u - _eval_mod(f, u, m) * pow(_eval_mod(df, u, m), -1, m)) % m
+        found = _reconstruct(u, m, n, d)
+        if found is not None and _homogeneous(f, *found) == 0:
+            roots.append(found)
+    return roots
+
+
+def _resultant_log_parts(p: UPoly, q: UPoly) -> list[tuple[Fraction, UPoly]]:
+    """The residues c of p/q that are rational, with the monic gcd of q and
+    p - c q' for each, read off the Rothstein-Trager resultant."""
     dq = q.derivative()
     # fast path: constant combined residue
     g, s, _ = dq.xgcd(q)
@@ -179,6 +252,55 @@ def rational_log_parts(remainder: RatFunc) -> list[tuple[Fraction, UPoly]]:
         fac = q.gcd(p - dq * c)
         if fac.degree > 0:
             parts.append((c, fac.monic()))
+    return parts
+
+
+def _pole_parts(p: UPoly, q: UPoly, poles: list[tuple[int, int]]) -> list[tuple[Fraction, UPoly]]:
+    """The log parts of p/q when q has the rational roots a/b of `poles`.
+
+    Each pole has the residue p(a/b)/q'(a/b), by integer Horner.  When q has
+    a factor r with no rational root, p/q = (a fraction over pi) + p_r/r with
+    pi the product of the x - a/b and p = p_r * pi mod r, and the parts of
+    p_r/r come from the resultant; parts of one residue are multiplied.
+    """
+    dq = q.derivative()
+    lead = len(dq.ints) - len(p.ints)  # deg q' - deg p >= 0
+    merged: dict[Fraction, UPoly] = {}
+    for a, b in poles:
+        c = Fraction(_homogeneous(p.ints, a, b) * b**lead * dq.denom,
+                     _homogeneous(dq.ints, a, b) * p.denom)
+        fac = _make([-a, b], b)  # x - a/b
+        merged[c] = merged[c] * fac if c in merged else fac
+    if len(poles) < q.degree:
+        pi = UPoly.one()
+        for fac in merged.values():
+            pi = pi * fac
+        r = q.exact_div(pi)
+        for c, fac in _resultant_log_parts((p * pi.xgcd(r)[1]) % r, r):
+            merged[c] = merged[c] * fac if c in merged else fac
+    return sorted(merged.items())
+
+
+def rational_log_parts(remainder: RatFunc) -> list[tuple[Fraction, UPoly]]:
+    """Write a proper fraction with squarefree denominator as
+    sum c_k * g_k'/g_k with rational constants and monic factors g_k.
+
+    The rational poles of p/q come first (`_lifted_roots`), each with its
+    residue read off at the pole, and the poles of one residue make one
+    factor.  Only the cofactor of q with no rational root goes to the
+    resultant (`_pole_parts`, `_resultant_log_parts`).
+
+    Raises NotSupported when the residues are not all rational (splitting an
+    irreducible factor would need algebraic constants).
+    """
+    p, q = remainder.num, remainder.den
+    if p.is_zero():
+        return []
+    poles = [(0, 1)] if q.ints[0] == 0 else []
+    f = _primitive_int_list(q.ints[len(poles):])
+    if len(f) > 1:
+        poles += _lifted_roots(f)
+    parts = _pole_parts(p, q, poles) if poles else _resultant_log_parts(p, q)
     acc = RatFunc.zero()
     for c, fac in parts:
         acc = acc + RatFunc(fac.derivative(), fac) * RatFunc.from_fraction(c)

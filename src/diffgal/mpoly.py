@@ -25,7 +25,7 @@ def _scalar_rational(v):
         return v
     if isinstance(v, int):
         return Fraction(v)
-    raise TypeError(f"cannot coerce {v!r} into Q")
+    raise TypeError(f"cannot coerce {type(v).__name__} into Q")
 
 
 def _scalar_ratfunc(v):

@@ -72,7 +72,7 @@ def _as_fraction(v) -> Fraction:
         return v
     if isinstance(v, int):
         return Fraction(v)
-    raise TypeError(f"cannot coerce {v!r} into Q")
+    raise TypeError(f"cannot coerce {type(v).__name__} into Q")
 
 
 def _make(ints: list[int], denom: int) -> "UPoly":
@@ -666,7 +666,7 @@ class RatFunc:
             return RatFunc(v)
         if isinstance(v, (int, Fraction)):
             return RatFunc(UPoly.const(v))
-        raise TypeError(f"cannot coerce {v!r} into Q(x)")
+        raise TypeError(f"cannot coerce {type(v).__name__} into Q(x)")
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

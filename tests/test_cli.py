@@ -278,12 +278,29 @@ class TestIntegrate:
                                 "more than the 4300 that can be printed\n")
         assert time.monotonic() - started < 1
 
+    @pytest.mark.parametrize("expr, depth, limit_s", [
+        ("1/(x-1)^3 + 2/(x-2)^2 + 3/(x+5) + x^5", "13", 1.0),
+        ("1/(x-1)^3 + 2/(x-2)^2 + 3/(x+5) + x^5", "30", 1.0),
+        ("1/(x-100000000003) + 2/(x-100000000019)", "1", 0.1),
+    ])
+    def test_rational_poles_answer_fast(self, capsys, expr, depth, limit_s):
+        # The residues at rational poles are read off at the poles, with no
+        # search over the divisors of the resultant's end coefficients.
+        started = time.monotonic()
+        code, rep = run_json(capsys, "integrate", "--field", "rational", "--expr", expr,
+                             "--depth", depth)
+        assert time.monotonic() - started < limit_s
+        assert code == 0 and rep["outputs"]["status"] == "integrable"
+
     def test_root_search_budget_exit_3(self, capsys, monkeypatch):
         import diffgal.integrab as integrab
 
+        assert main(["integrate", "--field", "rational", "--expr",
+                     "5040*x/(x^2-2) + x/(5040*(x^2-3))", "--depth", "1"]) == 0
+        capsys.readouterr()
         monkeypatch.setattr(integrab, "_FACTOR_TRIAL_LIMIT", 2000)
         assert main(["integrate", "--field", "rational", "--expr",
-                     "1/(x-1)^3 + 2/(x-2)^2 + 3/(x+5) + x^5", "--depth", "15"]) == 3
+                     "5040*x/(x^2-2) + x/(5040*(x^2-3))", "--depth", "1"]) == 3
         assert "rational root search budget" in capsys.readouterr().err
 
 
@@ -765,6 +782,38 @@ class TestRadicalField:
         assert main(["integrate", "--field", "radical:" + "9" * 5000, "--expr", "r",
                      "--depth", "1"]) == 2
         assert "too long" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("root, message", [("1", "radical root must be >= 2"),
+                                               ("0", "radical root must be >= 2"),
+                                               ("1001", "radical root must be at most 1000")])
+    def test_bad_root_exit_2_every_time(self, capsys, root, message):
+        # A refused root is not cached: the second run raises the same error.
+        for _ in range(2):
+            assert main(["integrate", "--field", f"radical:{root}", "--expr", "r",
+                         "--depth", "1"]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestStandardTowers:
+    @pytest.mark.parametrize("field, same", [("exp", "exp"), ("log", "log"),
+                                             ("radical:7", "radical:007")])
+    def test_one_tower_per_kind_and_root(self, field, same):
+        from diffgal.cli import _standard_tower
+
+        assert _standard_tower(field) is _standard_tower(same)
+
+    @pytest.mark.parametrize("field, expr", [("exp", "x^2*t^3 + 1/t"), ("log", "L^2/x"),
+                                             ("radical:3", "r^2/x + x*r"),
+                                             ("log", "L/(x+1)")])
+    @pytest.mark.parametrize("depth", ["inf", "3"])
+    def test_classify_leaves_the_tower_as_built(self, capsys, field, expr, depth):
+        from diffgal.cli import _standard_tower
+
+        tower = _standard_tower(field)
+        gens, ring = list(tower.gens), tower.ring
+        assert main(["integrate", "--field", field, "--expr", expr, "--depth", depth]) in (0, 1)
+        capsys.readouterr()
+        assert tower.gens == gens and tower.ring is ring and _standard_tower(field) is tower
 
 
 class TestDepthDigits:

@@ -390,3 +390,29 @@ def test_an_integer_constant_matches_the_fraction_route(n):
     got, want = UPoly.const(n), UPoly.const(Fraction(n))
     assert (got.ints, got.denom) == (want.ints, want.denom)
     assert all(type(v) is int for v in got.ints)
+
+
+# -- coercion errors name the type ---------------------------------------------------------
+
+
+def test_a_refused_coercion_does_not_render_the_value(monkeypatch):
+    """Arithmetic operators catch these errors only to return NotImplemented,
+    so the message names the operand's type and never formats the operand:
+    f*D^k must not print the operator before `SkewOp.__rmul__` takes over."""
+    from diffgal.mpoly import _scalar_rational
+    from diffgal.ratfield import _as_fraction
+
+    class Unprintable:
+        def __repr__(self):
+            raise AssertionError("the operand was rendered")
+
+        __str__ = __repr__
+
+    for coerce, field in ((RatFunc.coerce, "Q(x)"), (_as_fraction, "Q"), (_scalar_rational, "Q")):
+        with pytest.raises(TypeError) as exc:
+            coerce(Unprintable())
+        assert str(exc.value) == f"cannot coerce Unprintable into {field}"
+    monkeypatch.setattr(SkewOp, "__repr__", Unprintable.__repr__)
+    monkeypatch.setattr(SkewOp, "__str__", Unprintable.__repr__)
+    f = (X**5 + 1) / (X**4 + 2)
+    assert f * SkewOp.D(5) == SkewOp.D(5).__rmul__(f)

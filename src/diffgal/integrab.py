@@ -6,13 +6,13 @@ infinity-integrability classifiers for the exp-, log- and radical towers (with
 witnesses for finite depths).  Every witness is checked by differentiating it
 back to the input.
 
-The log parts of a squarefree remainder p/q start at the rational poles of q.
-They come from the roots of q modulo a small prime, Newton-lifted p-adically
-and rationally reconstructed, so no integer is factored; each pole alpha has
-the residue p(alpha)/q'(alpha).  Only the cofactor of q with no rational root
-goes to the Rothstein-Trager resultant, whose rational roots are searched among
-+-num/den over the divisors of its end coefficients, within
-`_FACTOR_TRIAL_LIMIT` candidates and factoring trials.
+The log parts of a squarefree remainder p/q start at the rational poles of q;
+each pole alpha has the residue p(alpha)/q'(alpha).  Only the cofactor of q
+with no rational root goes to the Rothstein-Trager resultant, whose rational
+roots are the residues there.  Both sets of rational roots come from one
+finder, `_lifted_roots`: roots modulo a small prime, Newton-lifted p-adically
+and rationally reconstructed, so no integer is factored and no search is
+bounded by a budget.
 
 Residues are only split over Q; inputs that need algebraic constants raise
 NotSupported rather than returning wrong answers.
@@ -22,14 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 
-from .errors import BudgetExceeded, NotPolynomialInTheta, NotSupported
+from .errors import NotPolynomialInTheta, NotSupported
 from .ratfield import (RatFunc, UPoly, _conv, _coprime_mod_p, _make, _primitive_int_list,
                        hermite_reduce, resultant)
 from .tower import Tower, TowerExpr, laurent_normal
-
-_FACTOR_TRIAL_LIMIT = 1_000_000
 
 
 @dataclass
@@ -70,62 +68,6 @@ def infinity_integrable_in_Cx(g: RatFunc) -> IntegrabilityVerdict:
 # -- rational log parts ------------------------------------------------------
 
 
-def _factor_int(n: int) -> dict[int, int]:
-    n = abs(n)
-    out: dict[int, int] = {}
-    trials = 0
-    p = 2
-    while p * p <= n:
-        trials += 1
-        if trials > _FACTOR_TRIAL_LIMIT:
-            raise BudgetExceeded("integer factorization budget exhausted")
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def _divisors(n: int) -> list[int]:
-    fac = _factor_int(n)
-    divs = [1]
-    for p, e in fac.items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return divs
-
-
-def _rational_roots(p: UPoly) -> list[Fraction]:
-    """All rational roots of p (nonzero p).  The candidates +-num/den are
-    tested only if there are at most _FACTOR_TRIAL_LIMIT of them."""
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    roots = []
-    # strip powers of x
-    k = 0
-    while p[k] == 0:
-        k += 1
-    if k:
-        roots.append(Fraction(0))
-        p = UPoly(p.coeffs[k:])
-    if p.degree == 0:
-        return roots
-    ints = _primitive_int_list(p.ints)
-    nums, dens = _divisors(ints[0]), _divisors(ints[-1])
-    if 2 * len(nums) * len(dens) > _FACTOR_TRIAL_LIMIT:
-        raise BudgetExceeded("rational root search budget exhausted")
-    # Each value is tested once, in lowest terms: a divisor's divisors come
-    # before it in `_divisors`, so the roots are found in the same order.
-    for num in nums:
-        for den in dens:
-            if gcd(num, den) == 1:
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    if _vanishes_at(ints, cand):
-                        roots.append(cand)
-    return roots
-
-
 def _homogeneous(coeffs: list[int], num: int, den: int) -> int:
     """den^deg * p(num/den) of the integer polynomial p, by Horner on ints."""
     acc, scale = 0, 1
@@ -133,11 +75,6 @@ def _homogeneous(coeffs: list[int], num: int, den: int) -> int:
         acc = acc * num + c * scale
         scale *= den
     return acc
-
-
-def _vanishes_at(coeffs: list[int], v: Fraction) -> bool:
-    """Whether the integer polynomial vanishes at v."""
-    return _homogeneous(coeffs, v.numerator, v.denominator) == 0
 
 
 def _resultant_in_residue(q: UPoly, p: UPoly) -> UPoly:
@@ -198,17 +135,24 @@ def _reconstruct(u: int, m: int, n: int, d: int) -> tuple[int, int] | None:
 
 def _lifted_roots(f: list[int]) -> list[tuple[int, int]]:
     """The rational roots a/b, as pairs (a, b) with b > 0, of a squarefree
-    integer polynomial f with f(0) != 0.
+    integer polynomial f.
 
-    No integer is factored.  A root a/b in lowest terms has a | f(0) and
-    b | lc(f), so at the first odd prime p with lc(f) and lc(f') nonzero and
-    f squarefree mod p, a/b is a simple root mod p.  Newton's iteration lifts
-    each root mod p to the unique root mod m = p^(2^k) > 2 |f(0)| |lc(f)|, and
-    rational reconstruction with |a| <= |f(0)|, 0 < b <= |lc(f)| gives back
-    a/b.  The failing primes divide deg(f) lc(f) res(f, f'), which Hadamard's
-    bound caps, so a product of failing primes past the cap proves that f is
-    not squarefree.
+    The root 0 is split off first (a squarefree f has x to at most the first
+    power), so f(0) != 0 below.  No integer is factored.  A root a/b in lowest
+    terms has a | f(0) and b | lc(f), so at the first odd prime p with lc(f)
+    and lc(f') nonzero and f squarefree mod p, a/b is a simple root mod p.
+    Newton's iteration lifts each root mod p to the unique root mod
+    m = p^(2^k) > 2 |f(0)| |lc(f)|, and rational reconstruction with
+    |a| <= |f(0)|, 0 < b <= |lc(f)| gives back a/b.  The failing primes divide
+    deg(f) lc(f) res(f, f'), which Hadamard's bound caps, so a product of
+    failing primes past the cap proves that f is not squarefree.
     """
+    roots = [(0, 1)] if f[0] == 0 else []
+    f = f[len(roots):]
+    if f[0] == 0:
+        raise ValueError("the polynomial is not squarefree")
+    if len(f) == 1:
+        return roots
     df = [i * c for i, c in enumerate(f)][1:]
     failed = 1
     for p in _odd_primes():
@@ -219,7 +163,6 @@ def _lifted_roots(f: list[int]) -> list[tuple[int, int]]:
         if failed > deg ** (deg + 1) * ((deg + 1) * height) ** (2 * deg):
             raise ValueError("the polynomial is not squarefree")
     n, d = abs(f[0]), abs(f[-1])
-    roots = []
     for t in range(p):
         if _eval_mod(f, t, p):
             continue
@@ -244,11 +187,11 @@ def _resultant_log_parts(p: UPoly, q: UPoly) -> list[tuple[Fraction, UPoly]]:
         if a.degree == 0:
             return [(a[0], q.monic())]
     res_poly = _resultant_in_residue(q, p)
-    # R's squarefree part has R's roots, and its end coefficients divide R's,
-    # so its root search never has more candidates or factoring trials.
+    # R's squarefree part has R's roots, and `_lifted_roots` needs it squarefree.
     squarefree = res_poly.cofactors(res_poly.derivative())[1]
+    roots = _lifted_roots(_primitive_int_list(squarefree.ints))
     parts: list[tuple[Fraction, UPoly]] = []
-    for c in sorted(_rational_roots(squarefree)):
+    for c in sorted(Fraction(a, b) for a, b in roots):
         fac = q.gcd(p - dq * c)
         if fac.degree > 0:
             parts.append((c, fac.monic()))
@@ -256,12 +199,13 @@ def _resultant_log_parts(p: UPoly, q: UPoly) -> list[tuple[Fraction, UPoly]]:
 
 
 def _pole_parts(p: UPoly, q: UPoly, poles: list[tuple[int, int]]) -> list[tuple[Fraction, UPoly]]:
-    """The log parts of p/q when q has the rational roots a/b of `poles`.
+    """The log parts of p/q, where `poles` are all the rational roots a/b of q.
 
     Each pole has the residue p(a/b)/q'(a/b), by integer Horner.  When q has
     a factor r with no rational root, p/q = (a fraction over pi) + p_r/r with
     pi the product of the x - a/b and p = p_r * pi mod r, and the parts of
-    p_r/r come from the resultant; parts of one residue are multiplied.
+    p_r/r come from the resultant; parts of one residue are multiplied.  With
+    no poles, r = q and every part comes from the resultant.
     """
     dq = q.derivative()
     lead = len(dq.ints) - len(p.ints)  # deg q' - deg p >= 0
@@ -288,7 +232,8 @@ def rational_log_parts(remainder: RatFunc) -> list[tuple[Fraction, UPoly]]:
     The rational poles of p/q come first (`_lifted_roots`), each with its
     residue read off at the pole, and the poles of one residue make one
     factor.  Only the cofactor of q with no rational root goes to the
-    resultant (`_pole_parts`, `_resultant_log_parts`).
+    resultant, whose rational roots come from the same `_lifted_roots`
+    (`_pole_parts`, `_resultant_log_parts`).
 
     Raises NotSupported when the residues are not all rational (splitting an
     irreducible factor would need algebraic constants).
@@ -296,11 +241,7 @@ def rational_log_parts(remainder: RatFunc) -> list[tuple[Fraction, UPoly]]:
     p, q = remainder.num, remainder.den
     if p.is_zero():
         return []
-    poles = [(0, 1)] if q.ints[0] == 0 else []
-    f = _primitive_int_list(q.ints[len(poles):])
-    if len(f) > 1:
-        poles += _lifted_roots(f)
-    parts = _pole_parts(p, q, poles) if poles else _resultant_log_parts(p, q)
+    parts = _pole_parts(p, q, _lifted_roots(_primitive_int_list(q.ints)))
     acc = RatFunc.zero()
     for c, fac in parts:
         acc = acc + RatFunc(fac.derivative(), fac) * RatFunc.from_fraction(c)

@@ -282,26 +282,29 @@ class TestIntegrate:
         ("1/(x-1)^3 + 2/(x-2)^2 + 3/(x+5) + x^5", "13", 1.0),
         ("1/(x-1)^3 + 2/(x-2)^2 + 3/(x+5) + x^5", "30", 1.0),
         ("1/(x-100000000003) + 2/(x-100000000019)", "1", 0.1),
+        ("20000000000074*x/(x^2-2) + 6*x/(x^2-3)", "1", 0.1),
+        ("5040*x/(x^2-2) + x/(5040*(x^2-3))", "1", 0.1),
     ])
     def test_rational_poles_answer_fast(self, capsys, expr, depth, limit_s):
-        # The residues at rational poles are read off at the poles, with no
-        # search over the divisors of the resultant's end coefficients.
+        # The residues at rational poles are read off at the poles, and those
+        # on irrational poles are the resultant's roots lifted modulo a prime:
+        # no search over the divisors of the resultant's end coefficients.
         started = time.monotonic()
         code, rep = run_json(capsys, "integrate", "--field", "rational", "--expr", expr,
                              "--depth", depth)
         assert time.monotonic() - started < limit_s
         assert code == 0 and rep["outputs"]["status"] == "integrable"
 
-    def test_root_search_budget_exit_3(self, capsys, monkeypatch):
-        import diffgal.integrab as integrab
-
-        assert main(["integrate", "--field", "rational", "--expr",
-                     "5040*x/(x^2-2) + x/(5040*(x^2-3))", "--depth", "1"]) == 0
-        capsys.readouterr()
-        monkeypatch.setattr(integrab, "_FACTOR_TRIAL_LIMIT", 2000)
-        assert main(["integrate", "--field", "rational", "--expr",
-                     "5040*x/(x^2-2) + x/(5040*(x^2-3))", "--depth", "1"]) == 3
-        assert "rational root search budget" in capsys.readouterr().err
+    def test_root_search_budget_exit_3(self, capsys):
+        # No root search has a budget: inputs that once exited 3 here answer.
+        for expr, witness in [("20000000000074*x/(x^2-2) + 6*x/(x^2-3)",
+                               "3*L1 + 10000000000037*L2"),
+                              ("5040*x/(x^2-2) + x/(5040*(x^2-3))",
+                               "(1/10080)*L1 + 2520*L2")]:
+            code, rep = run_json(capsys, "integrate", "--field", "rational", "--expr", expr,
+                                 "--depth", "1")
+            assert code == 0 and rep["outputs"]["witness"] == witness
+            assert [g["arg"] for g in rep["outputs"]["witness_tower"]] == ["x^2 - 3", "x^2 - 2"]
 
 
 class TestVerify:

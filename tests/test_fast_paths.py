@@ -14,11 +14,11 @@ from conftest import rand_fraction_matrices, rand_ratfunc, rand_small_entry, ran
 from diffgal.cli import _parse_operator
 from diffgal.diffop import FMatrix, SkewOp, full_rank_mod_p, gauss_jordan
 from diffgal.errors import NotMonic, ParseError
-from diffgal.integrab import _rational_roots, _vanishes_at
+from diffgal.integrab import _homogeneous, _lifted_roots
 from diffgal.inverse import _invertible, a_choices_independent
 from diffgal.mpoly import MRat, PolyRing
 from diffgal.parsing import parse_expr
-from diffgal.ratfield import _GCD_PRIME, RatFunc, UPoly
+from diffgal.ratfield import _GCD_PRIME, RatFunc, UPoly, _primitive_int_list
 from diffgal.tower import Tower, TowerExpr, apply_operator, nested_solutions
 
 X = RatFunc.x()
@@ -242,8 +242,10 @@ def test_integer_root_test_matches_fraction_evaluation(seed):
             p = p * UPoly([-k * r, k])
         ints = list(p.ints)  # p times its denominator
         for v in roots | {Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(5)}:
-            assert _vanishes_at(ints, v) == (eval_fraction(ints, v) == 0)
-        assert set(_rational_roots(p)) == roots
+            scale = v.denominator ** (len(ints) - 1)
+            assert _homogeneous(ints, v.numerator, v.denominator) == eval_fraction(ints, v) * scale
+        lifted = _lifted_roots(_primitive_int_list(ints))
+        assert len(lifted) == len(roots) and {Fraction(a, b) for a, b in lifted} == roots
 
 
 # -- Lie-basis entries converted once --------------------------------------------------------

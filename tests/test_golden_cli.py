@@ -110,6 +110,15 @@ CASES = {
                                  "--expr", "1/(x - 3)^2 + 2/x", "--depth", "2"], {}),
     "integrate_rational_logs_split": (["integrate", "--field", "rational",
                                        "--expr", "1/(x^2-1)", "--depth", "2"], {}),
+    # Rational residues on irrational poles (one 10000000000037) come from the
+    # resultant's lifted roots, beside a rational pole; at depth 2 the
+    # by-parts remainder has residues in Q(sqrt(2)), so it is not_supported.
+    "integrate_rational_irrational_poles": (
+        ["integrate", "--field", "rational", "--expr",
+         "20000000000074*x/(x^2-2) + 6*x/(x^2-3) + 1/(x-1)", "--depth", "1"], {}),
+    "integrate_rational_irrational_poles_depth2": (
+        ["integrate", "--field", "rational", "--expr",
+         "20000000000074*x/(x^2-2) + 6*x/(x^2-3) + 1/(x-1)", "--depth", "2"], {}),
     "integrate_radical_rationalised": (["integrate", "--field", "radical:3",
                                         "--expr", "(x+1)/(r+1)", "--depth", "2"], {}),
     "integrate_radical_obstruction": (["integrate", "--field", "radical:3",

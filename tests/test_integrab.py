@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_ratfunc
-from diffgal.errors import BudgetExceeded, NotSupported
+from diffgal.errors import NotSupported
 from diffgal.integrab import (
     IntegrabilityVerdict,
+    _lifted_roots,
     classify_exp,
     classify_log,
     classify_radical,
@@ -15,7 +16,7 @@ from diffgal.integrab import (
     infinity_integrable_in_Cx,
     rational_log_parts,
 )
-from diffgal.ratfield import RatFunc, UPoly
+from diffgal.ratfield import RatFunc, UPoly, _primitive_int_list
 from diffgal.tower import Tower, laurent_normal
 
 X = RatFunc.x()
@@ -58,45 +59,31 @@ class TestRationalLogParts:
         with pytest.raises(NotSupported):
             rational_log_parts(1 / (X**2 - 2))
 
-    def test_root_search_counts_candidates(self, monkeypatch):
+    def test_root_search_counts_candidates(self):
         """5040 has 60 divisors, so (5040 x - 1)(x - 5040) has 2 * 60 * 60
-        candidate roots but needs only a few factoring trials."""
-        import diffgal.integrab as integrab
+        candidate roots over the divisors; lifting the roots modulo a prime
+        tries none of them."""
+        roots = _lifted_roots([5040, -(5040**2 + 1), 5040])
+        assert sorted(Fraction(a, b) for a, b in roots) == [Fraction(1, 5040), 5040]
 
-        p = UPoly((5040, -(5040**2 + 1), 5040))
-        assert sorted(integrab._rational_roots(p)) == [Fraction(1, 5040), 5040]
-        monkeypatch.setattr(integrab, "_FACTOR_TRIAL_LIMIT", 2 * 60 * 60 - 1)
-        with pytest.raises(BudgetExceeded, match="rational root search"):
-            integrab._rational_roots(p)
-
-    def test_root_candidates_in_lowest_terms(self, monkeypatch):
-        """Each value +-num/den is tested once, in lowest terms, and the roots come
-        in the order of a search over every pair of divisors."""
+    def test_root_candidates_in_lowest_terms(self):
+        """Each root comes once, in lowest terms with a positive denominator,
+        from the squarefree part of a product of random linear factors."""
         import random
+        from math import gcd
 
-        import diffgal.integrab as integrab
-
-        def every_pair(p):
-            ints = integrab._primitive_int_list(p.ints)
-            roots = []
-            for num in integrab._divisors(ints[0]):
-                for den in integrab._divisors(ints[-1]):
-                    for cand in (Fraction(num, den), Fraction(-num, den)):
-                        if cand not in roots and real(ints, cand):
-                            roots.append(cand)
-            return roots
-
-        tested, real = [], integrab._vanishes_at
-        monkeypatch.setattr(integrab, "_vanishes_at", lambda c, v: tested.append(v) or real(c, v))
         rng = random.Random(34)
         for _ in range(40):
             p = UPoly((rng.choice((1, 2, 3, 5)),))
+            want = set()
             for _ in range(rng.randint(1, 4)):
-                p = p * UPoly((rng.randint(-12, 12) or 1, rng.choice((1, 2, 3, 4, 6, 8, 9))))
-            tested.clear()
-            got = integrab._rational_roots(p)
-            assert len(tested) == len(set(tested))
-            assert got == every_pair(p)
+                m, k = rng.randint(-12, 12) or 1, rng.choice((1, 2, 3, 4, 6, 8, 9))
+                p = p * UPoly((m, k))
+                want.add(Fraction(-m, k))
+            squarefree = p.cofactors(p.derivative())[1]
+            got = _lifted_roots(_primitive_int_list(squarefree.ints))
+            assert all(b > 0 and gcd(a, b) == 1 for a, b in got)
+            assert len(got) == len(want) and {Fraction(a, b) for a, b in got} == want
 
 
 class TestElementaryWitness:

@@ -1,12 +1,13 @@
 """`rational_log_parts` against the resultant-only version in
-`log_parts_oracle`, and the lifted rational roots against `_rational_roots`.
+`log_parts_oracle`, and the lifted rational roots against the oracle's divisor
+search `log_parts_oracle._rational_roots`.
 
 Seeded random remainders mix rational poles (at 0, negative, and a/b with b up
 to 10^3 and a a large prime) with irrational quadratic and cubic factors.
 Where the oracle answers, both give the same parts; where it raises, both
 raise the same error; where it runs out of its search budget, the parts must
-still add up to the remainder.  A denominator that splits over Q never reaches
-the resultant.
+still add up to the remainder, since `rational_log_parts` has no budget.  A
+denominator that splits over Q never reaches the resultant.
 """
 
 import random
@@ -17,7 +18,7 @@ import pytest
 import log_parts_oracle
 from diffgal import integrab
 from diffgal.errors import BudgetExceeded, NotSupported
-from diffgal.integrab import _lifted_roots, _rational_roots, rational_log_parts
+from diffgal.integrab import _lifted_roots, rational_log_parts
 from diffgal.ratfield import RatFunc, UPoly, _primitive_int_list
 
 X = RatFunc.x()
@@ -99,7 +100,9 @@ def test_matches_the_resultant_oracle(seed, monkeypatch):
                 mp.setattr(integrab, "_resultant_in_residue", _no_resultant)
             got = _outcome(rational_log_parts, g)
         if isinstance(want, tuple) and want[0] is BudgetExceeded:
-            if not isinstance(got, tuple):
+            if isinstance(got, tuple):
+                assert got[0] is NotSupported
+            else:
                 _check_sum(got, g)
             continue
         assert got == want, str(g)
@@ -143,16 +146,17 @@ def test_irrational_residues_not_supported(g):
 def test_cofactor_route_keeps_the_search_budget(pole, monkeypatch):
     """Residues 2520 and 1/10080 on x^2 - 2 and x^2 - 3 (the resultant's end
     coefficients have many divisors), with or without a rational pole beside
-    them: past the candidate limit both versions stop; under it both answer."""
+    them: past a candidate limit of 2000 the oracle's divisor search stops,
+    while the lifted roots, which search no candidates, give the parts the
+    oracle gives at its default limit."""
     g = 5040 * X / (X**2 - 2) + X / (5040 * (X**2 - 3))
     if pole is not None:
         g = g + 4 / (X - pole)
-    assert rational_log_parts(g) == log_parts_oracle.rational_log_parts(g)
-    monkeypatch.setattr(integrab, "_FACTOR_TRIAL_LIMIT", 2000)
+    want = log_parts_oracle.rational_log_parts(g)
     monkeypatch.setattr(log_parts_oracle, "_FACTOR_TRIAL_LIMIT", 2000)
-    for fn in (rational_log_parts, log_parts_oracle.rational_log_parts):
-        with pytest.raises(BudgetExceeded, match="rational root search budget"):
-            fn(g)
+    with pytest.raises(BudgetExceeded, match="rational root search budget"):
+        log_parts_oracle.rational_log_parts(g)
+    assert rational_log_parts(g) == want
 
 
 # -- the lifted roots ------------------------------------------------------------------
@@ -175,7 +179,7 @@ def _searched_roots(f, roots):
     """The divisor search's roots, or the known roots where it needs more
     candidates or factoring trials than its budget allows."""
     try:
-        return set(_rational_roots(UPoly(f)))
+        return set(log_parts_oracle._rational_roots(UPoly(f)))
     except BudgetExceeded:
         return roots
 
@@ -183,7 +187,7 @@ def _searched_roots(f, roots):
 @pytest.mark.parametrize("seed", range(4))
 def test_lifted_roots_match_the_divisor_search(seed, monkeypatch):
     """Known roots up to 10^4/10^3 and large primes, with irreducible factors."""
-    monkeypatch.setattr(integrab, "_FACTOR_TRIAL_LIMIT", 20_000)
+    monkeypatch.setattr(log_parts_oracle, "_FACTOR_TRIAL_LIMIT", 20_000)
     rng = random.Random(100 + seed)
     for _ in range(40):
         roots = {Fraction(rng.randint(-10**4, 10**4) or 1, rng.randint(1, 10**3))
@@ -210,6 +214,9 @@ def test_lifted_roots_match_the_divisor_search(seed, monkeypatch):
     ([Fraction(-999983, 1000)], []),
     ([Fraction(5)], [UPoly([1, 0, 1])]),
     ([], [UPoly([-2, 0, 1]), UPoly([1, 1, 0, 1])]),
+    # f(0) = 0: the root 0 is split off before |f(0)| bounds the reconstruction
+    ([Fraction(0), Fraction(2)], []),
+    ([Fraction(0), Fraction(2), Fraction(-3)], []),
 ])
 def test_lifted_roots_at_bad_primes_and_bounds(roots, extra):
     f = _int_poly(roots, extra)
@@ -218,8 +225,9 @@ def test_lifted_roots_at_bad_primes_and_bounds(roots, extra):
 
 
 def test_lifted_roots_refuse_a_square():
-    with pytest.raises(ValueError, match="not squarefree"):
-        _lifted_roots([1, -2, 1])
+    for f in ([1, -2, 1], [0, 0, -2, 1]):  # (x - 1)^2, x^2 (x - 2)
+        with pytest.raises(ValueError, match="not squarefree"):
+            _lifted_roots(f)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -4,7 +4,11 @@ Covers: infinity-integrability of rational functions, construction of
 elementary n-th antiderivatives with logarithms of squarefree factors, and the
 infinity-integrability classifiers for the exp-, log- and radical towers (with
 witnesses for finite depths).  Every witness is checked by differentiating it
-back to the input.
+back to the input before it is returned, with the derivative it needs: a tower
+witness is read back as its monomials a x^m th^i and differentiated monomial
+by monomial, with th' = h(x) th^k taken from the generator's declared image;
+a rational witness f_0 + sum P_j log q_j is read back as f_0 and the P_j and
+differentiated in Q(x), with q_j'/q_j taken from the log generator's image.
 
 The log parts of a squarefree remainder p/q start at the rational poles of q;
 each pole alpha has the residue p(alpha)/q'(alpha).  Only the cofactor of q
@@ -25,9 +29,12 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .errors import NotPolynomialInTheta, NotSupported
+from .mpoly import MPoly
 from .ratfield import (RatFunc, UPoly, _conv, _coprime_mod_p, _make, _primitive_int_list,
                        hermite_reduce, resultant)
 from .tower import Tower, TowerExpr, laurent_normal
+
+_FAILED = "witness failed to differentiate back to the input"
 
 
 @dataclass
@@ -205,8 +212,10 @@ def _pole_parts(p: UPoly, q: UPoly, poles: list[tuple[int, int]]) -> list[tuple[
     a factor r with no rational root, p/q = (a fraction over pi) + p_r/r with
     pi the product of the x - a/b and p = p_r * pi mod r, and the parts of
     p_r/r come from the resultant; parts of one residue are multiplied.  With
-    no poles, r = q and every part comes from the resultant.
+    no poles, every part comes from the resultant of p/q itself.
     """
+    if not poles:
+        return _resultant_log_parts(p, q)
     dq = q.derivative()
     lead = len(dq.ints) - len(p.ints)  # deg q' - deg p >= 0
     merged: dict[Fraction, UPoly] = {}
@@ -294,9 +303,38 @@ def elementary_n_witness(g: RatFunc, n: int) -> TowerExpr:
         eta = term if eta is None else eta + term
     base = tower.expr(rational)
     eta = base if eta is None else eta + base
-    if not (eta.derive_n(n) - tower.expr(g)).is_zero():
-        raise AssertionError("witness failed to differentiate back to the input")
+    _check_elementary(eta, g, n)
     return eta
+
+
+def _check_elementary(eta: TowerExpr, g: RatFunc, n: int) -> None:
+    """Raise unless the n-th derivative of eta = R + sum P_j L_j is g.
+
+    R and the P_j are read back from eta's numerator, and each q_j'/q_j from
+    the image declared for L_j = log q_j.  D(R + sum P_j L_j) is
+    R' + sum P_j q_j'/q_j + sum P_j' L_j, so the n derivatives run in Q(x);
+    at the end every P_j must be 0 and R must be g.
+    """
+    if not (eta.den.is_constant() and eta.den.constant_coeff() == RatFunc.one()):
+        raise AssertionError(_FAILED)
+    rational, logs = RatFunc.zero(), []
+    for mono, c in eta.num.terms.items():
+        if not any(mono):
+            rational = c
+            continue
+        if sum(mono) != 1:
+            raise AssertionError(_FAILED)
+        image = eta.tower.gens[mono.index(1)].derivative
+        if not (image.is_poly() and image.num.is_constant()):
+            raise AssertionError(_FAILED)
+        logs.append((c, image.num.constant_coeff()))
+    for _ in range(n):
+        rational = rational.derive()
+        for coef, dlog in logs:
+            rational = rational + coef * dlog
+        logs = [(coef.derive(), dlog) for coef, dlog in logs]
+    if any(coef for coef, _ in logs) or rational != g:
+        raise AssertionError(_FAILED)
 
 
 # -- tower classifiers -------------------------------------------------------
@@ -350,12 +388,88 @@ def _integrate_once(kind: str, monos: dict[tuple[int, int], Fraction],
             for s, col in columns.items() for k, h in _solve(col, s).items()}
 
 
+def _monomials(slices: dict[int, RatFunc]) -> dict[tuple[int, int], Fraction]:
+    """The map (m, i) -> a of sum a x^m th^i, from slices f_i over powers of x."""
+    monos: dict[tuple[int, int], Fraction] = {}
+    for i, f in slices.items():
+        shift = f.den.degree  # f.den is x^shift
+        for k, a in enumerate(f.num.coeffs):
+            if a:
+                monos[(k - shift, i)] = a
+    return monos
+
+
+def _witness(tower: Tower, name: str, monos: dict[tuple[int, int], Fraction]) -> TowerExpr:
+    """sum a x^m th^i as one fraction over tower.ring in normal form: each
+    slice over a power of x, the whole over th^(-lowest i) when that is
+    positive (exp), and no th^i with i >= root (radical integration keeps i)."""
+    ring = tower.ring
+    idx = ring.names.index(name)
+
+    def mono(e: int) -> tuple[int, ...]:
+        return (0,) * idx + (e,) + (0,) * (ring.nvars - idx - 1)
+
+    powers: dict[int, dict[int, Fraction]] = {}
+    for (m, i), a in monos.items():
+        powers.setdefault(i, {})[m] = a
+    shift = max(0, -min(powers, default=0))
+    terms = {}
+    for i, col in powers.items():
+        lo = min(0, *col)
+        num = [Fraction(0)] * (max(col) - lo + 1)
+        for m, a in col.items():
+            num[m - lo] = a
+        # num has a nonzero constant term when lo < 0, so it is prime to x^-lo.
+        terms[mono(i + shift)] = RatFunc._raw(UPoly(num), UPoly.monomial(1, -lo))
+    den = MPoly(ring, {mono(shift): ring.cone}) if shift else ring.one()
+    return TowerExpr._raw(tower, MPoly(ring, terms), den)
+
+
+def _image(gen) -> tuple[dict[int, Fraction], int] | None:
+    """(h, k) with th' = h(x) th^k and h = sum h_j x^j a Laurent polynomial,
+    given as the map j -> h_j, read off the generator's declared image; None
+    when the image has no such form."""
+    image = gen.derivative
+    if not image.is_poly() or len(image.num.terms) != 1:
+        return None
+    (mono, h), = image.num.terms.items()
+    names = image.ring.names
+    k = mono[names.index(gen.name)] if gen.name in names else 0
+    if sum(mono) != k or any(h.den.ints[:-1]):
+        return None
+    shift = h.den.degree
+    return {j - shift: c for j, c in enumerate(h.num.coeffs) if c}, k
+
+
+def _derive_monomials(monos: dict[tuple[int, int], Fraction],
+                      image: tuple[dict[int, Fraction], int] | None
+                      ) -> dict[tuple[int, int], Fraction]:
+    """The derivative of sum a x^m th^i, monomial by monomial:
+    (a x^m th^i)' = a m x^(m-1) th^i + a i x^m h(x) th^(i-1+k) for
+    th' = h th^k given as `_image` gives it.  With k <= 1, as for every exp,
+    log and radical generator, a radical exponent stays below its root.
+    Raises AssertionError when some i != 0 needs an image that has no such
+    form."""
+    out: dict[tuple[int, int], Fraction] = {}
+    for (m, i), a in monos.items():
+        if m:
+            out[(m - 1, i)] = out.get((m - 1, i), 0) + a * m
+        if i:
+            if image is None:
+                raise AssertionError(_FAILED)
+            h, k = image
+            for j, c in h.items():
+                key = (m + j, i - 1 + k)
+                out[key] = out.get(key, 0) + a * i * c
+    return {key: a for key, a in out.items() if a}
+
+
 def _classify(g: TowerExpr, kind: str, depth: int | None) -> IntegrabilityVerdict:
     """Infinity-integrability of g = sum f_i th^i in Q(x)(th) for the tower's
     one generator th of the given kind: g is infinitely integrable exactly
     when every slice f_i is admissible.  For a finite depth the witness
-    integrates the map of monomials a x^m th^i of g, and is checked by
-    differentiating it back."""
+    integrates the map of monomials a x^m th^i of g.  Its own monomials are
+    then read back, differentiated `depth` times and compared with g's."""
     gens = [gen for gen in g.tower.gens if gen.kind == kind]
     if len(gens) != 1:
         raise ValueError(f"expected exactly one {kind} generator, found {len(gens)}")
@@ -364,34 +478,26 @@ def _classify(g: TowerExpr, kind: str, depth: int | None) -> IntegrabilityVerdic
         coeffs = laurent_normal(g, gen)
     except NotPolynomialInTheta as exc:
         return IntegrabilityVerdict.not_integrable(reason=str(exc))
-    monos: dict[tuple[int, int], Fraction] = {}
+    slices: dict[int, RatFunc] = {}
     for i, ce in coeffs.items():
-        f = ce.as_ratfunc()
+        f = slices[i] = ce.as_ratfunc()
         reason = _slice_obstruction(kind, i, f, gen.root)
         if reason is not None:
             return IntegrabilityVerdict.not_integrable(obstruction=f, reason=reason)
-        shift = f.den.degree  # f.den is x^shift
-        for k, a in enumerate(f.num.coeffs):
-            if a:
-                monos[(k - shift, i)] = a
     if depth is None:
         return IntegrabilityVerdict.integrable()
+    target = monos = _monomials(slices)
     for _ in range(depth):
         monos = _integrate_once(kind, monos, gen.root)
-    powers: dict[int, dict[int, Fraction]] = {}
-    for (m, i), a in monos.items():
-        powers.setdefault(i, {})[m] = a
-    tower = g.tower
-    th = tower.gen_expr(gen.name)
-    witness = tower.zero()
-    for i in sorted(powers):
-        lo = min(0, *powers[i])
-        num = [Fraction(0)] * (max(powers[i]) - lo + 1)
-        for m, a in powers[i].items():
-            num[m - lo] = a
-        witness = witness + th**i * RatFunc(UPoly(num), UPoly.monomial(1, -lo))
-    if witness.derive_n(depth) != g:
-        raise AssertionError("witness failed to differentiate back to the input")
+    witness = _witness(g.tower, gen.name, monos)
+    slices = {i: ce.as_ratfunc() for i, ce in laurent_normal(witness, gen).items()}
+    if any(any(f.den.ints[:-1]) for f in slices.values()):
+        raise AssertionError(_FAILED)
+    monos, image = _monomials(slices), _image(gen)
+    for _ in range(depth):
+        monos = _derive_monomials(monos, image)
+    if monos != target:
+        raise AssertionError(_FAILED)
     return IntegrabilityVerdict.integrable(witness=witness)
 
 

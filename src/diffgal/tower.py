@@ -83,10 +83,15 @@ class Tower:
     def add_log(self, name: str, u) -> "TowerExpr":
         """Adjoin th with th' = u'/u for nonzero, nonconstant u."""
         u = self.expr(u)
-        du = u.derive()
-        if u.is_zero() or du.is_zero():
+        if u.is_zero():
             raise DegenerateGenerator(f"log({u}) is degenerate")
-        image = du._frac() / u._frac()
+        if u.is_base():  # u'/u is an element of Q(x)
+            f = u.as_ratfunc()
+            image = MRat.from_poly(self.ring.const(f.derive() / f))
+        else:
+            image = u.derive()._frac() / u._frac()
+        if image.is_zero():
+            raise DegenerateGenerator(f"log({u}) is degenerate")
         self.ring = self._new_ring(name)
         return self._install(Generator(name, "log", image, argument=u))
 
@@ -373,7 +378,8 @@ class TowerExpr:
         """The value as an element of Q(x); fails if generators survive."""
         if not self.is_base():
             raise ValueError(f"{self} involves tower generators")
-        return self.num.constant_coeff() / self.den.constant_coeff()
+        num, den = self.num.constant_coeff(), self.den.constant_coeff()
+        return num if den == RatFunc.one() else num / den
 
     def __str__(self) -> str:
         if self.den.is_constant() and self.den.constant_coeff() == RatFunc.one():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_ratfunc
+import diffgal.integrab as integrab
 from diffgal.errors import NotSupported
 from diffgal.integrab import (
     IntegrabilityVerdict,
@@ -16,6 +17,7 @@ from diffgal.integrab import (
     infinity_integrable_in_Cx,
     rational_log_parts,
 )
+from diffgal.parsing import parse_ratfunc
 from diffgal.ratfield import RatFunc, UPoly, _primitive_int_list
 from diffgal.tower import Tower, laurent_normal
 
@@ -288,6 +290,23 @@ class TestClassifiers:
         with pytest.raises(AssertionError, match="differentiate back"):
             classify(pos[0], depth=2)
 
+    @pytest.mark.parametrize("u,kind,text", [
+        (X**2, "exp", "x*t + t^2"),
+        (2 * X, "exp", "x*t + t^2"),
+        (X**2 + 1, "log", "x*t"),
+    ])
+    def test_non_standard_towers(self, u, kind, text):
+        """The classifiers integrate as if t' = t (exp) or t' = 1/x (log).
+        In another tower of the kind the slices still decide infinite
+        integrability, but a finite-depth witness fails its check."""
+        tw = Tower()
+        (tw.add_exp if kind == "exp" else tw.add_log)("t", u)
+        classify = classify_exp if kind == "exp" else classify_log
+        g = tw.parse(text)
+        assert classify(g).is_integrable
+        with pytest.raises(AssertionError, match="differentiate back"):
+            classify(g, depth=1)
+
     def test_verdict_shape(self):
         tw, _, pos, neg = exp_cases()
         v = classify_exp(neg[0])
@@ -295,3 +314,95 @@ class TestClassifiers:
         assert not v.is_integrable
         v2 = IntegrabilityVerdict.not_supported("because")
         assert v2.status == "not_supported" and v2.reason == "because"
+
+
+def _tower_of(kind):
+    """The tower of one generator t: exp(x), log(x), or x^(1/N) for `radical:N`."""
+    tw = Tower()
+    if kind == "exp":
+        return tw, tw.add_exp("t", X), tw.gen("t")
+    if kind == "log":
+        return tw, tw.add_log("t", X), tw.gen("t")
+    return tw, tw.add_radical("t", int(kind.split(":")[1])), tw.gen("t")
+
+
+def _read(e, gen):
+    return integrab._monomials({i: c.as_ratfunc() for i, c in laurent_normal(e, gen).items()})
+
+
+class TestMonomialCheck:
+    @pytest.mark.parametrize("kind", ["exp", "log"] + [f"radical:{n}" for n in range(2, 8)])
+    def test_matches_tower_derivation(self, kind):
+        """On 50 seeded Laurent monomial maps, the monomial derivative with
+        th' read off the generator's image is `TowerExpr.derive`, and the
+        witness built from a map is the sum of its monomials and reads back
+        as the map."""
+        import random
+
+        tw, th, gen = _tower_of(kind)
+        lo, hi = {"exp": (-2, 3), "log": (0, 3)}.get(kind, (0, (gen.root or 0) - 1))
+        image = integrab._image(gen)
+        rng = random.Random(f"monomials {kind}")
+        for _ in range(50):
+            monos = {}
+            for _ in range(rng.randint(1, 5)):
+                a = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                if a:
+                    monos[(rng.randint(-3, 3), rng.randint(lo, hi))] = a
+            e = tw.zero()
+            for (m, i), a in monos.items():
+                e = e + th**i * RatFunc.from_fraction(a) * X**m
+            w = integrab._witness(tw, gen.name, monos)
+            assert w == e and str(w) == str(e)
+            assert _read(e, gen) == monos
+            assert integrab._derive_monomials(monos, image) == _read(e.derive(), gen)
+
+    def test_image_without_monomial_form(self):
+        """log(x^2 + 1)' = 2x/(x^2 + 1) is not h(x) th^k with h Laurent: a
+        map with a power of th cannot be differentiated, a map without one
+        can."""
+        tw = Tower()
+        tw.add_log("t", X**2 + 1)
+        image = integrab._image(tw.gen("t"))
+        assert image is None
+        assert integrab._derive_monomials({(2, 0): Fraction(3)}, image) == {(1, 0): 6}
+        with pytest.raises(AssertionError, match="differentiate back"):
+            integrab._derive_monomials({(0, 1): Fraction(1)}, image)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rational_wrong_witness_is_caught(self, n, monkeypatch):
+        """A rational witness is differentiated back in Q(x): one residue off
+        by one is an AssertionError, never a wrong answer."""
+        right = integrab.rational_log_parts
+
+        def off_by_one(remainder):
+            (c, fac), *rest = right(remainder)
+            return [(c + 1, fac), *rest]
+
+        monkeypatch.setattr(integrab, "rational_log_parts", off_by_one)
+        with pytest.raises(AssertionError, match="differentiate back"):
+            elementary_n_witness(1 / (X**2 - 1) + 3 / (X - 5), n)
+
+
+class TestPolePartsWithoutRationalPoles:
+    @pytest.mark.parametrize("text,parts", [
+        ("x/(x^2-2)", [(Fraction(1, 2), "x^2 - 2")]),
+        ("1/(x^3+x+1)", []),
+        ("(2*x+1)/(x^2+x-1)", [(Fraction(1), "x^2 + x - 1")]),
+    ])
+    def test_straight_to_the_resultant(self, text, parts, monkeypatch):
+        """With no rational pole, p/q goes to the resultant as it is: the
+        parts are the same, and no extended gcd runs on a constant."""
+        receivers = []
+        xgcd = UPoly.xgcd
+
+        def spy(self, other):
+            receivers.append(self.degree)
+            return xgcd(self, other)
+
+        monkeypatch.setattr(UPoly, "xgcd", spy)
+        f = parse_ratfunc(text)
+        assert _lifted_roots(_primitive_int_list(f.den.ints)) == []
+        got = integrab._pole_parts(f.num, f.den, [])
+        assert [(c, str(fac)) for c, fac in got] == parts
+        assert receivers and all(d > 0 for d in receivers)

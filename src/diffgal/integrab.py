@@ -7,7 +7,8 @@ witnesses for finite depths).  Every witness is checked by differentiating it
 back to the input before it is returned, with the derivative it needs: a tower
 witness is read back as its monomials a x^m th^i and differentiated monomial
 by monomial, with th' = h(x) th^k taken from the generator's declared image;
-a rational witness f_0 + sum P_j log q_j is read back as f_0 and the P_j and
+a rational witness f_0 + sum P_j log q_j, assembled in normal form as one
+polynomial in the L_j = log q_j, is read back as f_0 and the P_j and
 differentiated in Q(x), with q_j'/q_j taken from the log generator's image.
 
 The log parts of a squarefree remainder p/q start at the rational poles of q;
@@ -16,7 +17,7 @@ with no rational root goes to the Rothstein-Trager resultant, whose rational
 roots are the residues there.  Both sets of rational roots come from one
 finder, `_lifted_roots`: roots modulo a small prime, Newton-lifted p-adically
 and rationally reconstructed, so no integer is factored and no search is
-bounded by a budget.
+bounded by a budget.  The parts are complete when their degrees add up to deg q.
 
 Residues are only split over Q; inputs that need algebraic constants raise
 NotSupported rather than returning wrong answers.
@@ -30,8 +31,8 @@ from math import isqrt, lcm
 
 from .errors import NotPolynomialInTheta, NotSupported
 from .mpoly import MPoly
-from .ratfield import (RatFunc, UPoly, _conv, _coprime_mod_p, _make, _primitive_int_list,
-                       hermite_reduce, resultant)
+from .ratfield import (RatFunc, UPoly, _conv, _coprime_mod_p, _hermite_parts, _make,
+                       _primitive_int_list, resultant)
 from .tower import Tower, TowerExpr, laurent_normal
 
 _FAILED = "witness failed to differentiate back to the input"
@@ -245,16 +246,16 @@ def rational_log_parts(remainder: RatFunc) -> list[tuple[Fraction, UPoly]]:
     (`_pole_parts`, `_resultant_log_parts`).
 
     Raises NotSupported when the residues are not all rational (splitting an
-    irreducible factor would need algebraic constants).
+    irreducible factor would need algebraic constants) or p/q is improper.
     """
     p, q = remainder.num, remainder.den
     if p.is_zero():
         return []
-    parts = _pole_parts(p, q, _lifted_roots(_primitive_int_list(q.ints)))
-    acc = RatFunc.zero()
-    for c, fac in parts:
-        acc = acc + RatFunc(fac.derivative(), fac) * RatFunc.from_fraction(c)
-    if acc != remainder:
+    # Over a squarefree q every root of a part's factor has that part's
+    # residue, so the parts cover the roots of q when their degrees add up.
+    proper = p.degree < q.degree
+    parts = _pole_parts(p, q, _lifted_roots(_primitive_int_list(q.ints))) if proper else []
+    if not proper or sum(fac.degree for _, fac in parts) != q.degree:
         raise NotSupported(
             "residues are not all rational; the witness needs algebraic constants"
         )
@@ -279,8 +280,7 @@ def elementary_n_witness(g: RatFunc, n: int) -> TowerExpr:
             big = pcoef.integral()
             new_logs[q] = big
             rho = rho - RatFunc(big * q.derivative(), q)
-        h, rest = hermite_reduce(rho)
-        polypart, proper = rest.split()
+        h, polypart, proper = _hermite_parts(rho)
         rational = h + RatFunc(polypart.integral())
         if not proper.is_zero():
             for c, fac in rational_log_parts(proper):
@@ -292,17 +292,15 @@ def elementary_n_witness(g: RatFunc, n: int) -> TowerExpr:
     trimmed = UPoly(tuple(Fraction(0) for _ in range(min(n, polypart.degree + 1)))
                     + polypart.coeffs[n:])
     rational = RatFunc(trimmed) + proper
-    tower = Tower()
-    eta = None
-    for idx, q in enumerate(sorted(logs, key=lambda u: (u.degree, u.coeffs)), start=1):
-        pcoef = logs[q]
-        if pcoef.degree > n - 1:
+    # R + sum P_j L_j as one polynomial in the L_j over Q(x) is already normal.
+    tower, zero = Tower(), (0,) * len(logs)
+    terms = {zero: rational} if rational else {}
+    for j, q in enumerate(sorted(logs, key=lambda u: (u.degree, u.coeffs))):
+        if logs[q].degree > n - 1:
             raise AssertionError("log coefficient degree exceeded n-1")
-        gen = tower.add_log(f"L{idx}", RatFunc(q))
-        term = gen * RatFunc(pcoef)
-        eta = term if eta is None else eta + term
-    base = tower.expr(rational)
-    eta = base if eta is None else eta + base
+        tower.add_log(f"L{j + 1}", RatFunc(q))
+        terms[zero[:j] + (1,) + zero[j + 1:]] = RatFunc(logs[q])
+    eta = TowerExpr._raw(tower, MPoly(tower.ring, terms), tower.ring.one())
     _check_elementary(eta, g, n)
     return eta
 

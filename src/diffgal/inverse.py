@@ -47,7 +47,7 @@ from .mpoly import (  # noqa: F401
     normal_form,
     DEFAULT_BUDGET,
 )
-from .ratfield import RatFunc, UPoly, _int_eval, hermite_reduce, memo_scope
+from .ratfield import RatFunc, UPoly, _hermite_parts, _int_eval, memo_scope
 from .tower import fundamental_T, rows_satisfy_T_prime_eq_AT
 
 DEFAULT_CYCLIC_BUDGET = 200
@@ -267,7 +267,7 @@ def a_choices_independent(a: Sequence[RatFunc]) -> bool:
     rank over Q.  Rank mod p is at most rank over Q, so full rank mod p proves
     independence; only a short rank mod p leaves the answer to the exact
     elimination over Q."""
-    parts = [hermite_reduce(f)[1].split()[1] for f in a]
+    parts = [_hermite_parts(f)[2] for f in a]
     common = UPoly.one()
     for r in parts:
         common = common * common.cofactors(r.den)[2]

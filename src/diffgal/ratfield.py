@@ -840,6 +840,8 @@ class RatFunc:
 
     def split(self) -> tuple[UPoly, "RatFunc"]:
         """Polynomial part and proper part: self = P + p/q with deg p < deg q."""
+        if self.den.degree == 0:  # a canonical constant denominator is 1
+            return self.num, RatFunc.zero()
         q, r = divmod(self.num, self.den)
         return q, RatFunc(r, self.den)
 
@@ -908,6 +910,14 @@ def hermite_reduce(g: RatFunc) -> tuple[RatFunc, RatFunc]:
 
     Returns (h, r).  No denominator factorization beyond gcds is performed.
     """
+    h, poly, proper = _hermite_parts(g)
+    # proper is in lowest terms, so poly + proper over its denominator is too.
+    return h, RatFunc._raw(poly * proper.den + proper.num, proper.den)
+
+
+def _hermite_parts(g: RatFunc) -> tuple[RatFunc, UPoly, RatFunc]:
+    """(h, P, r) with g = h' + P + r, P a polynomial and r proper over a
+    squarefree denominator: `hermite_reduce` with its remainder kept split."""
     polypart, proper = g.split()
     a = proper.num
     d = proper.den
@@ -924,8 +934,7 @@ def hermite_reduce(g: RatFunc) -> tuple[RatFunc, RatFunc]:
         h = h + RatFunc(b, dm)
         dm = dm2
     polyq, polyr = divmod(a, ds)
-    rest = RatFunc((polypart + polyq) * ds + polyr, ds)
-    return h, rest
+    return h, polypart + polyq, RatFunc(polyr, ds)
 
 
 def resultant(f: UPoly, g: UPoly) -> Fraction:

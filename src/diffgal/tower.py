@@ -525,5 +525,7 @@ def laurent_normal(e: TowerExpr, name: "str | Generator") -> dict[int, TowerExpr
         buckets.setdefault(m[idx] - shift, {})[m[:idx] + (0,) + m[idx + 1:]] = c
     if gen.kind != "exp" and any(d < 0 for d in buckets):
         raise NotPolynomialInTheta(f"negative powers of {name} are not allowed for {gen.kind}")
-    return {d: TowerExpr(tower, MPoly(tower.ring, terms), den)
+    # A slice over 1 is normal; over another denominator it may share a factor.
+    wrap = TowerExpr._raw if den == tower.ring.one() else TowerExpr
+    return {d: wrap(tower, MPoly(tower.ring, terms), den)
             for d, terms in sorted(buckets.items())}

@@ -19,7 +19,7 @@ from diffgal.integrab import (
 )
 from diffgal.parsing import parse_ratfunc
 from diffgal.ratfield import RatFunc, UPoly, _primitive_int_list
-from diffgal.tower import Tower, laurent_normal
+from diffgal.tower import Tower, TowerExpr, laurent_normal
 
 X = RatFunc.x()
 
@@ -336,7 +336,8 @@ class TestMonomialCheck:
         """On 50 seeded Laurent monomial maps, the monomial derivative with
         th' read off the generator's image is `TowerExpr.derive`, and the
         witness built from a map is the sum of its monomials and reads back
-        as the map."""
+        as the map, with each `laurent_normal` slice in the normal form that
+        the full `TowerExpr` constructor gives."""
         import random
 
         tw, th, gen = _tower_of(kind)
@@ -354,6 +355,9 @@ class TestMonomialCheck:
                 e = e + th**i * RatFunc.from_fraction(a) * X**m
             w = integrab._witness(tw, gen.name, monos)
             assert w == e and str(w) == str(e)
+            for s in laurent_normal(w, gen).values():
+                full = TowerExpr(tw, s.num, s.den)
+                assert (s.num, s.den) == (full.num, full.den)
             assert _read(e, gen) == monos
             assert integrab._derive_monomials(monos, image) == _read(e.derive(), gen)
 

@@ -133,6 +133,12 @@ def test_parts(g, parts, split, monkeypatch):
 @pytest.mark.parametrize("g", [
     1 / (X - 1) + 1 / (X**2 - 2),
     Fraction(1, 3) / X + (X + 1) / (X**3 + X + 1),
+    # rational poles beside a factor with irrational residues: the parts miss
+    # some of the degree of q
+    3 / (X + 2) + X / (X**3 + X + 1),
+    # improper remainders, with and without rational poles
+    X**2 / (X**2 - 2),
+    (X**3 + 1) / ((X - 1) * (X + 2)),
 ])
 def test_irrational_residues_not_supported(g):
     want = "residues are not all rational; the witness needs algebraic constants"

@@ -7,9 +7,11 @@ import pytest
 from conftest import is_squarefree, rand_ratfunc, rand_upoly
 from diffgal.errors import ZeroPolynomial
 from diffgal.parsing import parse_ratfunc
+from diffgal import ratfield
 from diffgal.ratfield import (
     RatFunc,
     UPoly,
+    _hermite_parts,
     derive_n,
     hermite_reduce,
     squarefree_part,
@@ -127,12 +129,31 @@ class TestHermite:
             h, r = hermite_reduce(g)
             assert h.derive() + r == g
             assert r.den.gcd(r.den.derivative()).degree <= 0
+            # The kept parts: g = h' + P + r with r proper over a squarefree
+            # denominator, and hermite_reduce's remainder is P + r.
+            h2, poly, proper = _hermite_parts(g)
+            assert h2.derive() + RatFunc(poly) + proper == g
+            assert proper.num.is_zero() or proper.num.degree < proper.den.degree
+            assert is_squarefree(proper.den)
+            assert (h, r) == (h2, RatFunc(poly) + proper)
 
     def test_higher_multiplicity(self):
         g = 1 / (X - 2) ** 5 + 3 / X
         h, r = hermite_reduce(g)
         assert h.derive() + r == g
         assert r == 3 / X
+
+
+def test_split_of_a_polynomial_divides_nothing(rng, monkeypatch):
+    """A polynomial's canonical denominator is 1: `split` returns it whole
+    with a zero proper part, the same as `divmod`, and runs no division."""
+    pairs = [(p, divmod(p, UPoly.one())) for p in (rand_upoly(rng, 8) for _ in range(100))]
+    calls = []
+    pdiv = ratfield._int_pdiv
+    monkeypatch.setattr(ratfield, "_int_pdiv", lambda a, b: calls.append(1) or pdiv(a, b))
+    for p, (q, r) in pairs:
+        assert RatFunc(p).split() == (q, RatFunc(r))
+    assert calls == []
 
 
 class TestAntiderivative:

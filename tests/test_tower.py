@@ -563,3 +563,13 @@ class TestLaurentNormal:
         e = (t * t + t) / (t + 1)  # = t
         m = laurent_normal(e, "t")
         assert set(m) == {1} and m[1] == 1
+
+    def test_slice_sharing_a_factor_with_the_denominator(self):
+        """(a (b + 1) + 1)/(b + 1) in a: the slice of a^1 is (b + 1)/(b + 1),
+        which the full constructor cancels to 1 over 1."""
+        tw = Tower()
+        a = tw.add_log("a", X)
+        b = tw.add_exp("b", X)
+        m = laurent_normal((a * (b + 1) + 1) / (b + 1), "a")
+        assert str(m[1]) == "1" and m[1].den == tw.ring.one()
+        assert m[0] == 1 / (b + 1)

@@ -1,14 +1,19 @@
 """Every finite-depth request of the seed-1 integrate benchmark pool: the
 witness the library returns passes the generic check, differentiated through
-the tower's derivation, and is the witness the command line printed."""
+the tower's derivation, and is the witness the command line printed.  Each
+rational witness is also the one `witness_oracle` assembles by generic tower
+sums."""
 
 import json
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import diffgal.cli as cli  # noqa: E402
+import witness_oracle  # noqa: E402
 from diffgal.errors import NotSupported  # noqa: E402
 from diffgal.integrab import (classify_exp, classify_log, classify_radical,  # noqa: E402
                               elementary_n_witness)
@@ -51,3 +56,24 @@ def test_pool_witnesses_rederive_and_match_the_cli(tmp_path):
         assert str(w) == printed["witness"], req["argv"]
         checked += 1
     assert checked >= 500
+
+
+def test_rational_witnesses_match_the_generic_sums():
+    """The witness assembled as one normal-form polynomial in the L_j has the
+    numerator, denominator and text of the one built by generic sums."""
+    checked = 0
+    for req in generate("integrate", 1)["pool"]:
+        field, text, depth = (req["expect"][k] for k in ("field", "expr", "depth"))
+        if field != "rational" or depth == "inf":
+            continue
+        g = parse_ratfunc(text)
+        try:
+            want = witness_oracle.elementary_n_witness(g, depth)
+        except NotSupported:
+            with pytest.raises(NotSupported):
+                elementary_n_witness(g, depth)
+            continue
+        got = elementary_n_witness(g, depth)
+        assert (got.num, got.den, str(got)) == (want.num, want.den, str(want)), text
+        checked += 1
+    assert checked >= 200

@@ -12,20 +12,16 @@ every sum, product, quotient and power and the work of all powers, and emits
 a postfix program.  Only a text that passes every bound is computed, by one
 loop over that program.
 
-`parse_over_qx` computes each value in the smallest ring that holds it.  A
-value that has met only integer literals, `x`, `+ - * ^` and division by a
-nonzero constant is kept as {degree: int} over one common denominator, and a
-run such as `3/16*x^5` is one instruction.  Such a value becomes one Q[x]
-polynomial (`UPoly`) where it meets anything else and at the end; a
-polynomial becomes one `RatFunc` at a division by a non-constant.  A value
-enters an atom's ring (operators, fractions over a tower ring) only where it
-meets that atom.
+`parse_over_qx` computes each value in the smallest ring that holds it: Q[x]
+values are `UPoly` throughout, and a run of literals such as `3/16*x^5` is
+folded into one monomial when the text is compiled.  A polynomial becomes
+one `RatFunc` at a division by a non-constant, and a value enters an atom's
+ring (operators, fractions over a tower ring) only where it meets that atom.
 """
 
 from __future__ import annotations
 
 import re
-from math import gcd
 from typing import Callable, Mapping
 
 from .errors import ParseError
@@ -64,11 +60,6 @@ def _scan(text: str) -> list[str]:
     return _SCAN.findall(text)
 
 
-def tokenize(text: str) -> list[tuple[str, str]]:
-    """(kind, text) of each token, kind one of "int", "name" and "op"."""
-    return [("op" if t in _OPS else "int" if t.isdecimal() else "name", t) for t in _scan(text)]
-
-
 def _over(what: str) -> ParseError:
     return ParseError(f"{what} of degree above {MAX_POWER_DEGREE}")
 
@@ -81,23 +72,28 @@ def _integer(digits: str) -> int:
 
 
 # Instructions of the postfix program, each (opcode, argument).  _LIT pushes
-# n/d * x^e for an argument (n, d, e) of literal ints, d > 0; only
-# `parse_over_qx` programs hold it.
+# the `UPoly` monomial n/d * x^e for an argument (n, d, e) of literal ints,
+# d > 0, folded from a run of literals and `x`; only `parse_over_qx`
+# programs hold it.
 _INT, _ATOM, _LIT, _NEG, _POW, _ADD, _SUB, _MUL, _DIV = range(9)
+
+# The value of `x` in `parse_over_qx`: the compiler reads it as a _LIT, so
+# no program pushes it.
+_X = object()
 
 
 class _Compiler:
     """One recursive descent over the tokens.  Each rule appends its postfix
     instructions to `program` and returns (a, b), bounds on the degrees of a
     numerator and a denominator of its value in the atoms; `work` sums the
-    work of the powers.  With `fold`, integer literals and `x` are _LIT
-    instructions."""
+    work of the powers.  Where `x` is bound to _X, integer literals and `x`
+    are _LIT instructions."""
 
-    def __init__(self, tokens: list[str], atoms: Mapping[str, object], fold: bool):
+    def __init__(self, tokens: list[str], atoms: Mapping[str, object]):
         self.tokens = tokens + [None]  # None ends the input
         self.pos = 0
         self.atoms = atoms
-        self.fold = fold
+        self.fold = atoms.get("x") is _X
         self.depth = 0
         self.work = 0
         self.program: list[tuple[int, object]] = []
@@ -198,8 +194,7 @@ class _Compiler:
         elif tok not in self.atoms:
             raise ParseError(f"unknown name {tok!r}")
         else:
-            self.program.append((_LIT, (1, 1, 1)) if self.fold and self.atoms[tok] is _X
-                                else (_ATOM, tok))
+            self.program.append((_LIT, (1, 1, 1)) if self.atoms[tok] is _X else (_ATOM, tok))
             a, b = 1, 0
         # its power
         if self.tokens[self.pos] != "^":
@@ -220,89 +215,6 @@ class _Compiler:
         return e * a, e * b
 
 
-class _Lit:
-    """A value of `parse_over_qx` that has met only integer literals, `x`,
-    `+ - *`, `^` and division by a nonzero constant: {degree: nonzero int}
-    over one positive int denominator, in no canonical form.  `poly` turns
-    it into the `UPoly` it equals; `UPoly` is canonical, so that is the value
-    the `UPoly` arithmetic gives."""
-
-    __slots__ = ("terms", "den")
-
-    def __init__(self, terms: dict[int, int], den: int):
-        self.terms = terms
-        self.den = den
-
-    def poly(self) -> UPoly:
-        t = self.terms
-        ints = [0] * (max(t) + 1 if t else 0)
-        for k, v in t.items():
-            ints[k] = v
-        return _make(ints, self.den)
-
-    def __neg__(self) -> "_Lit":
-        return _Lit({k: -v for k, v in self.terms.items()}, self.den)
-
-    def add(self, other: "_Lit", sign: int) -> "_Lit":
-        ta, da = self.terms, self.den
-        tb, db = other.terms, other.den
-        if da != db:
-            g = gcd(da, db)
-            sa, sb = db // g, da // g
-            ta = {k: v * sa for k, v in ta.items()}
-            tb = {k: v * sb for k, v in tb.items()}
-            da *= sa
-        else:
-            ta = dict(ta)
-        for k, v in tb.items():
-            s = ta.get(k, 0) + sign * v
-            if s:
-                ta[k] = s
-            else:
-                del ta[k]
-        return _Lit(ta, da)
-
-    def mul(self, other: "_Lit") -> "_Lit":
-        ta, tb = self.terms, other.terms
-        if len(ta) < len(tb):
-            ta, tb = tb, ta
-        if len(tb) > 1:  # two polynomials: the UPoly product
-            return _Lit.of(self.poly() * other.poly())
-        # a monomial, or zero, shifts every term, so no two terms meet
-        return _Lit({k + j: v * c for j, c in tb.items() for k, v in ta.items()},
-                    self.den * other.den)
-
-    def div(self, other: "_Lit") -> "_Lit | None":
-        """The quotient by a nonzero constant, else None."""
-        tb = other.terms
-        c = tb.get(0)
-        if c is None or len(tb) != 1:
-            return None
-        d = other.den
-        if c < 0:
-            c, d = -c, -d
-        return _Lit({k: v * d for k, v in self.terms.items()}, self.den * c)
-
-    def pow(self, e: int) -> "_Lit":
-        t = self.terms
-        if not e:
-            return _Lit({0: 1}, 1)
-        if len(t) <= 1:
-            return _Lit({k * e: v**e for k, v in t.items()}, self.den**e)
-        return _Lit.of(self.poly() ** e)
-
-    @staticmethod
-    def of(p: UPoly) -> "_Lit":
-        return _Lit({k: v for k, v in enumerate(p.ints) if v}, p.denom)
-
-
-_X = _Lit({1: 1}, 1)
-
-
-def _lit_const(k: int) -> _Lit:
-    return _Lit({0: k} if k else {}, 1)
-
-
 def _run(program, atoms: Mapping[str, object], const: Callable[[int], object],
          check_divisor: Callable[[object], None]):
     """The value of a compiled program: one loop over its instructions."""
@@ -311,30 +223,18 @@ def _run(program, atoms: Mapping[str, object], const: Callable[[int], object],
     for op, arg in program:
         if op == _LIT:
             n, d, e = arg
-            push(_Lit({e: n} if n else {}, d))
+            push(_make([0] * e + [n], d))
         elif op == _INT:
             push(const(arg))
         elif op == _ATOM:
             push(atoms[arg])
         elif op == _POW:
-            v = stack[-1]
-            stack[-1] = v.pow(arg) if type(v) is _Lit else v**arg
+            stack[-1] = stack[-1] ** arg
         elif op == _NEG:
             stack[-1] = -stack[-1]
         else:
             b = pop()
             a = stack[-1]
-            if type(a) is _Lit:
-                if type(b) is _Lit:
-                    v = (a.mul(b) if op == _MUL else a.div(b) if op == _DIV
-                         else a.add(b, 1 if op == _ADD else -1))
-                    if v is not None:
-                        stack[-1] = v
-                        continue
-                    b = b.poly()
-                a = a.poly()
-            elif type(b) is _Lit:
-                b = b.poly()
             if op == _ADD:
                 stack[-1] = a + b
             elif op == _SUB:
@@ -348,8 +248,7 @@ def _run(program, atoms: Mapping[str, object], const: Callable[[int], object],
                         stack[-1] = a / b
                 except ArithmeticError as exc:  # division by zero or by a non-constant
                     raise ParseError(str(exc)) from exc
-    v = stack[0]
-    return v.poly() if type(v) is _Lit else v
+    return stack[0]
 
 
 def _any_divisor(_) -> None:
@@ -371,7 +270,7 @@ def parse_expr(text: str, atoms: Mapping[str, object], const: Callable[[int], ob
     tokens = _scan(text)
     if not tokens:
         raise ParseError("empty expression")
-    program = _Compiler(tokens, atoms, const is _lit_const).compile()
+    program = _Compiler(tokens, atoms).compile()
     return _run(program, atoms, const, check_divisor)
 
 
@@ -381,7 +280,7 @@ def parse_over_qx(text: str, atoms: Mapping[str, object] | None = None,
 
     The value is a `UPoly`, a `RatFunc` or a value of the atoms' own type.
     """
-    return parse_expr(text, {"x": _X, **(atoms or {})}, _lit_const, check_divisor)
+    return parse_expr(text, {"x": _X, **(atoms or {})}, UPoly.const, check_divisor)
 
 
 def parse_ratfunc(text: str) -> RatFunc:

@@ -127,10 +127,10 @@ def _parse_group_spec(data: dict) -> inverse.GroupSpec:
     n = _field(data, "n", "the spec")
     if not isinstance(n, int) or n < 2:
         raise ParseError("'n' must be an integer >= 2")
-    ring = inverse.z_ring(n, coeff="rational")
-    atoms = {name: ring.var(name) for name in ring.names}
     ideal = None
     if "ideal" in data:
+        ring = inverse.z_ring(n, coeff="rational")
+        atoms = {name: ring.var(name) for name in ring.names}
         ideal = []
         for s in _expect(data["ideal"], list, "'ideal'"):
             val = parse_expr(s, atoms, ring.const)

@@ -30,9 +30,9 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .errors import NotPolynomialInTheta, NotSupported
-from .mpoly import MPoly
-from .ratfield import (RatFunc, UPoly, _conv, _coprime_mod_p, _hermite_parts, _make,
-                       _primitive_int_list, resultant)
+from .mpoly import MPoly, _add_term
+from .ratfield import (RatFunc, UPoly, _conv, _coprime_mod_p, _hermite_parts, _int_eval,
+                       _make, _primitive_int_list, resultant)
 from .tower import Tower, TowerExpr, laurent_normal
 
 _FAILED = "witness failed to differentiate back to the input"
@@ -121,13 +121,6 @@ def _odd_primes():
         p += 2
 
 
-def _eval_mod(coeffs: list[int], t: int, m: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * t + c) % m
-    return acc
-
-
 def _reconstruct(u: int, m: int, n: int, d: int) -> tuple[int, int] | None:
     """(a, b) with a = b*u mod m, |a| <= n and 0 < b <= d, or None.  When
     m > 2*n*d there is at most one a/b, and it is the first remainder <= n of
@@ -172,12 +165,12 @@ def _lifted_roots(f: list[int]) -> list[tuple[int, int]]:
             raise ValueError("the polynomial is not squarefree")
     n, d = abs(f[0]), abs(f[-1])
     for t in range(p):
-        if _eval_mod(f, t, p):
+        if _int_eval(f, t) % p:
             continue
         u, m = t, p  # f(u) = 0 mod m
         while m <= 2 * n * d:
             m *= m
-            u = (u - _eval_mod(f, u, m) * pow(_eval_mod(df, u, m), -1, m)) % m
+            u = (u - _int_eval(f, u) * pow(_int_eval(df, u), -1, m)) % m
         found = _reconstruct(u, m, n, d)
         if found is not None and _homogeneous(f, *found) == 0:
             roots.append(found)
@@ -284,9 +277,8 @@ def elementary_n_witness(g: RatFunc, n: int) -> TowerExpr:
         rational = h + RatFunc(polypart.integral())
         if not proper.is_zero():
             for c, fac in rational_log_parts(proper):
-                cur = new_logs.get(fac, UPoly.zero())
-                new_logs[fac] = cur + UPoly((c,))
-        logs = {q: p for q, p in new_logs.items() if not p.is_zero()}
+                _add_term(new_logs, fac, UPoly((c,)))
+        logs = new_logs
     # Drop the kernel part (polynomial monomials of degree < n) for a canonical witness.
     polypart, proper = rational.split()
     trimmed = UPoly(tuple(Fraction(0) for _ in range(min(n, polypart.degree + 1)))
@@ -451,15 +443,14 @@ def _derive_monomials(monos: dict[tuple[int, int], Fraction],
     out: dict[tuple[int, int], Fraction] = {}
     for (m, i), a in monos.items():
         if m:
-            out[(m - 1, i)] = out.get((m - 1, i), 0) + a * m
+            _add_term(out, (m - 1, i), a * m)
         if i:
             if image is None:
                 raise AssertionError(_FAILED)
             h, k = image
             for j, c in h.items():
-                key = (m + j, i - 1 + k)
-                out[key] = out.get(key, 0) + a * i * c
-    return {key: a for key, a in out.items() if a}
+                _add_term(out, (m + j, i - 1 + k), a * i * c)
+    return out
 
 
 def _classify(g: TowerExpr, kind: str, depth: int | None) -> IntegrabilityVerdict:

@@ -147,11 +147,12 @@ class GroupSpec:
         comm = None if full else _brackets(basis, n)
         if not (full or _is_subalgebra(basis, comm, n)):
             raise BadSpec(f"{source} does not span a subalgebra")
-        ideal = [] if full else ideal_from_lie(basis, n)
-        # An empty ideal is its own reduced basis: no Buchberger run.
-        if given is not None and (buchberger(given, budget=groebner_budget)
-                                  if given else []) != ideal:
-            raise InconsistentSpec(f"the ideal is not that of exp(g), g spanned by {source}")
+        ideal = None  # with none given, nothing can fail against it: it is built last
+        if given is not None:
+            ideal = [] if full else ideal_from_lie(basis, n)
+            # An empty ideal is its own reduced basis: no Buchberger run.
+            if (buchberger(given, budget=groebner_budget) if given else []) != ideal:
+                raise InconsistentSpec(f"the ideal is not that of exp(g), g spanned by {source}")
         if self.l is None:
             basis, l = abelianization_prefix(basis, n, comm)
         else:
@@ -167,6 +168,8 @@ class GroupSpec:
         for i, f in enumerate(a):
             if f.is_zero():
                 raise ZeroEntry(f"a_{i + 1} is zero")
+        if ideal is None:  # reordering the basis kept its span, and so the ideal
+            ideal = [] if full else ideal_from_lie(basis, n)
         # The basis passed `__post_init__`'s checks or is a nullspace basis;
         # checking it again cannot fail.
         out = object.__new__(GroupSpec)

@@ -5,6 +5,8 @@ fixes the variable list, the coefficient field and the monomial order.  Both
 coefficient fields (`fractions.Fraction` and `RatFunc`) go through the same
 code paths; Buchberger's algorithm therefore runs verbatim over Q(x), and so
 does the univariate Euclid (`_divmod`) that `MRat` and radical towers use.
+Every sparse sum accumulates through `_add_term`, which adds one term into a
+dict and drops a sum that is zero.
 """
 
 from __future__ import annotations
@@ -155,15 +157,7 @@ class MPoly:
             return NotImplemented
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = c
-            else:
-                s = s + c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
+            _add_term(out, m, c)
         return MPoly(self.ring, out)
 
     __radd__ = __add__
@@ -184,18 +178,9 @@ class MPoly:
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
                 c = c1 * c2
-                s = out.get(m)
-                if s is None:
-                    if c:
-                        out[m] = c
-                else:
-                    s = s + c
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
+                if c:  # a raw polynomial may hold a zero coefficient
+                    _add_term(out, tuple(a + b for a, b in zip(m1, m2)), c)
         return MPoly(self.ring, out)
 
     __rmul__ = __mul__
@@ -226,8 +211,9 @@ class MPoly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:  # no square beyond the highest bit
+                base = base * base
         return out
 
     def monic(self) -> "MPoly":
@@ -335,28 +321,23 @@ class _Budget:
 
 def normal_form(p: MPoly, basis: Sequence[MPoly], budget: "_Budget | None" = None) -> MPoly:
     """Full remainder of p modulo the basis: no term is divisible by any LM."""
-    gens = [(g.lm(), g.lc(), g) for g in basis if not g.is_zero()]
-    rem = p.ring.zero()
-    work = p
-    while work.terms:
-        lmw = work.lm()
-        lcw = work.lc()
-        hit = None
-        for lmg, lcg, g in gens:
-            if _mono_divides(lmg, lmw):
-                hit = (lmg, lcg, g)
-                break
+    gens = [(lm, g.terms[lm], [(m, c) for m, c in g.terms.items() if m != lm])
+            for g in basis if g.terms for lm in [g.lm()]]
+    key, rem, work = p.ring.key, {}, dict(p.terms)
+    while work:
+        lmw = max(work, key=key)
+        lcw = work.pop(lmw)
         if budget is not None:
             budget.spend()
-        if hit is None:
-            t = MPoly(work.ring, {lmw: lcw})
-            rem = rem + t
-            work = work - t
+        for lmg, lcg, rest in gens:
+            if _mono_divides(lmg, lmw):  # work -= (lcw/lcg) x^(lmw - lmg) g
+                f, shift = lcw / lcg, _mono_sub(lmw, lmg)
+                for m, c in rest:
+                    _add_term(work, tuple(a + b for a, b in zip(shift, m)), -(f * c))
+                break
         else:
-            lmg, lcg, g = hit
-            factor = MPoly(work.ring, {_mono_sub(lmw, lmg): lcw / lcg})
-            work = work - factor * g
-    return rem
+            rem[lmw] = lcw
+    return MPoly(p.ring, rem)
 
 
 def spoly(f: MPoly, g: MPoly) -> MPoly:
@@ -670,12 +651,7 @@ def _divmod(a: MPoly, b: MPoly) -> tuple[MPoly, MPoly]:
         if d in r:
             f = q[d - db] = r.pop(d) / lcb
             for e, c in rest:
-                s = r.get(d + e)
-                v = -(f * c) if s is None else s - f * c
-                if v:
-                    r[d + e] = v
-                else:
-                    del r[d + e]
+                _add_term(r, d + e, -(f * c))
     z = a.ring._zero_mono
 
     def poly(cs: dict) -> MPoly:

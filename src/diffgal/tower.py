@@ -195,12 +195,11 @@ class Tower:
         i, root = self.radical
         if all(m[i] < root for m in p.terms):
             return p
-        out = self.ring.zero()
+        acc: dict = {}
         for m, c in p.terms.items():
             q, r = divmod(m[i], root)
-            mono = m[:i] + (r,) + m[i + 1:]
-            out = out + MPoly(self.ring, {mono: c * RatFunc.x() ** q if q else c})
-        return out
+            _add_term(acc, m[:i] + (r,) + m[i + 1:], c * RatFunc.x() ** q if q else c)
+        return MPoly(self.ring, acc)
 
 
 def _rationalize_radical(tower: Tower, num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
@@ -346,16 +345,7 @@ class TowerExpr:
         return self.tower.expr(other) / self
 
     def __pow__(self, k: int) -> "TowerExpr":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = self.tower.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return TowerExpr._wrap(self.tower, self._frac() ** k)
 
     def inverse(self) -> "TowerExpr":
         if self.is_zero():

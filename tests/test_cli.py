@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from diffgal import inverse
 from diffgal.cli import main
 from diffgal.parsing import parse_ratfunc
 from diffgal.ratfield import RatFunc
@@ -577,6 +578,16 @@ class TestSpecNotOneGroup:
         err = self.construct_exit_2(capsys, tmp_path, {"n": 3, "lie_basis": [self.E12, self.E23]})
         assert "Lie basis does not span a subalgebra" in err
 
+    def test_empty_lie_basis_fails_before_the_ideal(self, capsys, tmp_path, monkeypatch):
+        def no_ideal(*args):
+            raise AssertionError("ideal built")
+
+        monkeypatch.setattr(inverse, "ideal_from_lie", no_ideal)
+        started = time.monotonic()
+        err = self.construct_exit_2(capsys, tmp_path, {"n": 80, "lie_basis": []})
+        assert err == "error: Lie algebra equals its commutator subalgebra; not unipotent data\n"
+        assert time.monotonic() - started < 1
+
 
 class TestParserNesting:
     def test_deep_parentheses_exit_2(self, capsys):
@@ -734,8 +745,6 @@ class TestParserReuse:
 
 
 def test_one_independence_check_per_construct(capsys, spec_file, monkeypatch):
-    from diffgal import inverse
-
     calls = []
     original = inverse._independent
 

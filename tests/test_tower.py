@@ -254,6 +254,42 @@ class TestRadicalReduction:
         assert not e.den.involves(0)
 
 
+def power_towers():
+    """One tower each of kind exp, log and radical:2..5, and one of three
+    generators with a radical among them, with its generators."""
+    out = []
+    tw = Tower()
+    out.append(pytest.param(tw, [tw.add_exp("t", X)], id="exp"))
+    tw = Tower()
+    out.append(pytest.param(tw, [tw.add_log("L", X)], id="log"))
+    for root in range(2, 6):
+        tw = Tower()
+        out.append(pytest.param(tw, [tw.add_radical("r", root)], id=f"radical:{root}"))
+    tw = Tower()
+    gens = [tw.add_log("L", X), tw.add_exp("t", X), tw.add_radical("r", 2)]
+    out.append(pytest.param(tw, gens, id="log-exp-radical"))
+    return out
+
+
+@pytest.mark.parametrize("tw, gens", power_towers())
+def test_power_matches_repeated_product(rng, tw, gens):
+    gens = [tw.x()] + gens
+    for _ in range(3):
+        a = gens[rng.randrange(len(gens))] * rand_ratfunc(rng, 1) + rand_ratfunc(rng, 1)
+        b = gens[rng.randrange(len(gens))] + rng.randint(1, 5)
+        for e in (a, a / b):
+            for k in range(-3, 7):
+                if k < 0 and not e:
+                    continue
+                ref = tw.one()
+                for _ in range(abs(k)):
+                    ref = ref * (e if k > 0 else e.inverse())
+                got = e ** k
+                assert got == ref and str(got) == str(ref), (str(e), k)
+    with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+        tw.zero() ** -2
+
+
 class TestDegenerateGenerators:
     def test_log_of_constant(self):
         tw = Tower()

@@ -1,17 +1,17 @@
 """Seeded fuzzer for the four commands of `diffgal.cli`.
 
-    python3 scripts/fuzz.py --seeds 1-5 --count 2000 --alarm 5
+    python3 scripts/fuzz.py --seeds 1-5
 
 Run from the repository root of a checkout; its `src` is imported. Each seed
-generates `count` requests for `integrate` (fields rational, exp, log and
-radical:N with N up to 1000), `expand`, `verify` (operator and matrix) and
-`construct`, with the files they read. Most are well formed; the rest are
-mutated: malformed JSON, long literals, deep nesting, unknown names and wrong
-types. Each request runs in-process through `cli.main` under an alarm of
-`--alarm` seconds (0 runs without one) and ends as exit 0, 1, 2 or 3, a
-traceback, or over time. The script caps its own address space at 2 GiB, so
-a request that asks for unbounded memory ends in a MemoryError traceback
-instead of taking the host's memory.
+generates COUNT (2000) requests for `integrate` (fields rational, exp, log
+and radical:N with N up to 1000), `expand`, `verify` (operator and matrix)
+and `construct`, with the files they read. Most are well formed; the rest
+are mutated: malformed JSON, long literals, deep nesting, unknown names and
+wrong types. Each request runs in-process through `cli.main` under an alarm
+of ALARM (5) seconds and ends as exit 0, 1, 2 or 3, a traceback, or over
+time. The script caps its own address space at 2 GiB, so a request that
+asks for unbounded memory ends in a MemoryError traceback instead of taking
+the host's memory.
 
 Every traceback and over-time request is printed as one JSON line with its
 seed, index and argv, then one JSON line counts each outcome per seed. The
@@ -40,6 +40,8 @@ import diffgal.cli as cli  # noqa: E402
 OVER_TIME = "over time"
 TRACEBACK = "traceback"
 MEMORY_CAP = 2 * 2**30  # bytes of address space
+COUNT = 2000  # requests per seed
+ALARM = 5  # seconds before a request counts as over time
 
 _GENS = {"exp": ["t"], "log": ["L"], "radical": ["r"], "rational": []}
 _NAMES = ["y", "foo", "Z_1_2", "D", "sin", "t", "L", "r", "x1", "_"]
@@ -231,17 +233,15 @@ def _on_alarm(signum, frame):
 
 def run_one(argv: list[str], alarm: float) -> "int | str":
     """The exit code of one request, or TRACEBACK or OVER_TIME."""
-    if alarm:
-        previous = signal.signal(signal.SIGALRM, _on_alarm)
-        signal.setitimer(signal.ITIMER_REAL, alarm)
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, alarm)
     try:
         try:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 return cli.main(argv)
         finally:
-            if alarm:
-                signal.setitimer(signal.ITIMER_REAL, 0)
-                signal.signal(signal.SIGALRM, previous)
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
     except SystemExit as exc:  # argparse's usage errors
         return exc.code
     except _OverTime:
@@ -279,15 +279,12 @@ def parse_seeds(text: str) -> list[int]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", default="1", help="e.g. 1-5, 3 or 1,4,7")
-    parser.add_argument("--count", type=int, default=2000, help="requests per seed")
-    parser.add_argument("--alarm", type=float, default=5.0,
-                        help="seconds before a request counts as over time; 0 for none")
     args = parser.parse_args(argv)
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
     failed = False
     for seed in parse_seeds(args.seeds):
-        counts = fuzz(seed, args.count, args.alarm)
-        print(json.dumps({"seed": seed, "count": args.count, "outcomes": counts}), flush=True)
+        counts = fuzz(seed, COUNT, ALARM)
+        print(json.dumps({"seed": seed, "count": COUNT, "outcomes": counts}), flush=True)
         failed = failed or TRACEBACK in counts
     return 1 if failed else 0
 

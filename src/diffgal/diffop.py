@@ -238,6 +238,8 @@ def gauss_jordan(rows: Sequence[Sequence], ncols: int) -> tuple[list[list], list
     det = 1
     for c in range(ncols):
         r = len(pivots)
+        if r == len(a):  # every row has its pivot: no later column has one
+            break
         piv = next((i for i in range(r, len(a)) if a[i][c]), None)
         if piv is None:
             continue

@@ -165,12 +165,12 @@ def _lifted_roots(f: list[int]) -> list[tuple[int, int]]:
             raise ValueError("the polynomial is not squarefree")
     n, d = abs(f[0]), abs(f[-1])
     for t in range(p):
-        if _int_eval(f, t) % p:
+        if _int_eval(f, t, p):
             continue
         u, m = t, p  # f(u) = 0 mod m
         while m <= 2 * n * d:
             m *= m
-            u = (u - _int_eval(f, u) * pow(_int_eval(df, u), -1, m)) % m
+            u = (u - _int_eval(f, u, m) * pow(_int_eval(df, u, m), -1, m)) % m
         found = _reconstruct(u, m, n, d)
         if found is not None and _homogeneous(f, *found) == 0:
             roots.append(found)
@@ -267,18 +267,14 @@ def elementary_n_witness(g: RatFunc, n: int) -> TowerExpr:
     rational = g
     logs: dict[UPoly, UPoly] = {}
     for _ in range(n):
-        rho = rational
-        new_logs: dict[UPoly, UPoly] = {}
-        for q, pcoef in logs.items():
-            big = pcoef.integral()
-            new_logs[q] = big
+        rho, logs = rational, {q: pcoef.integral() for q, pcoef in logs.items()}
+        for q, big in logs.items():
             rho = rho - RatFunc(big * q.derivative(), q)
         h, polypart, proper = _hermite_parts(rho)
         rational = h + RatFunc(polypart.integral())
         if not proper.is_zero():
             for c, fac in rational_log_parts(proper):
-                _add_term(new_logs, fac, UPoly((c,)))
-        logs = new_logs
+                _add_term(logs, fac, UPoly((c,)))
     # Drop the kernel part (polynomial monomials of degree < n) for a canonical witness.
     polypart, proper = rational.split()
     trimmed = UPoly(tuple(Fraction(0) for _ in range(min(n, polypart.degree + 1)))

@@ -136,9 +136,10 @@ class GroupSpec:
         reduced bases are unique, so this proves I = I(exp g).
         """
         n, given = self.n, self.ideal_gens
-        qring = z_ring(n, coeff="rational")
-        if given is not None and any(g.ring != qring for g in given):
-            raise BadSpec("ideal generators must be polynomials over Q in the Z_i_j")
+        if given:  # the Z ring has n(n-1)/2 names: built only to check an ideal
+            qring = z_ring(n, coeff="rational")
+            if any(g.ring != qring for g in given):
+                raise BadSpec("ideal generators must be polynomials over Q in the Z_i_j")
         basis, source = self.lie_basis, "the Lie basis"
         if basis is None:
             basis, source = lie_from_ideal(given, n), "the ideal's tangent space"
@@ -147,8 +148,7 @@ class GroupSpec:
         comm = None if full else _brackets(basis, n)
         if not (full or _is_subalgebra(basis, comm, n)):
             raise BadSpec(f"{source} does not span a subalgebra")
-        ideal = None  # with none given, nothing can fail against it: it is built last
-        if given is not None:
+        if given is not None:  # with none given, nothing fails against it: it is built last
             ideal = [] if full else ideal_from_lie(basis, n)
             # An empty ideal is its own reduced basis: no Buchberger run.
             if (buchberger(given, budget=groebner_budget) if given else []) != ideal:
@@ -168,7 +168,7 @@ class GroupSpec:
         for i, f in enumerate(a):
             if f.is_zero():
                 raise ZeroEntry(f"a_{i + 1} is zero")
-        if ideal is None:  # reordering the basis kept its span, and so the ideal
+        if given is None:  # reordering the basis kept its span, and so the ideal
             ideal = [] if full else ideal_from_lie(basis, n)
         # The basis passed `__post_init__`'s checks or is a nullspace basis;
         # checking it again cannot fail.

@@ -466,9 +466,14 @@ def _heu_gcd(a: list[int], b: list[int], xi: int):
     return h, qa, qb
 
 
-def _int_eval(a: list[int], v: int) -> int:
-    """a(v) for an integer v, by Horner."""
+def _int_eval(a: list[int], v: int, m: int = 0) -> int:
+    """a(v) for an integer v, by Horner; with m > 0, a(v) mod m, reduced at
+    every step so that no partial sum outgrows m."""
     acc = 0
+    if m:
+        for c in reversed(a):
+            acc = (acc * v + c) % m
+        return acc
     for c in reversed(a):
         acc = acc * v + c
     return acc

@@ -345,7 +345,13 @@ class TowerExpr:
         return self.tower.expr(other) / self
 
     def __pow__(self, k: int) -> "TowerExpr":
-        return TowerExpr._wrap(self.tower, self._frac() ** k)
+        if k < 0:
+            return self.inverse() ** -k
+        if self.tower.radical is None or k < 2:
+            return TowerExpr._wrap(self.tower, self._frac() ** k)
+        # Each product reduces by th^root = x, so no exponent reaches 2 root.
+        half = self ** (k // 2)
+        return half * half * self if k % 2 else half * half
 
     def inverse(self) -> "TowerExpr":
         if self.is_zero():

@@ -25,7 +25,7 @@ def test_requests_are_seeded():
 
 
 def test_a_raise_is_a_traceback_and_usage_errors_exit_2(monkeypatch):
-    assert fuzz.run_one(["integrate", "--field=rational"], alarm=0) == 2
+    assert fuzz.run_one(["integrate", "--field=rational"], alarm=1) == 2
 
     def crash(argv):
         raise KeyError("boom")

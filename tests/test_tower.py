@@ -272,7 +272,19 @@ def power_towers():
 
 
 @pytest.mark.parametrize("tw, gens", power_towers())
-def test_power_matches_repeated_product(rng, tw, gens):
+def test_power_matches_repeated_product(rng, tw, gens, monkeypatch):
+    # A radical power reduces by th^root = x at every product, so the highest
+    # th-exponent it ever reduces stays below 2 root, whatever k is.
+    index, root = tw.radical or (None, 1)
+    seen = [0]
+    reduce_poly = tw.reduce_poly
+
+    def spy(p):
+        seen.extend(m[index] for m in p.terms)
+        return reduce_poly(p)
+
+    if index is not None:
+        monkeypatch.setattr(tw, "reduce_poly", spy)
     gens = [tw.x()] + gens
     for _ in range(3):
         a = gens[rng.randrange(len(gens))] * rand_ratfunc(rng, 1) + rand_ratfunc(rng, 1)
@@ -284,8 +296,10 @@ def test_power_matches_repeated_product(rng, tw, gens):
                 ref = tw.one()
                 for _ in range(abs(k)):
                     ref = ref * (e if k > 0 else e.inverse())
+                del seen[1:]
                 got = e ** k
                 assert got == ref and str(got) == str(ref), (str(e), k)
+                assert max(seen) < 2 * root, (str(e), k)
     with pytest.raises(ZeroDivisionError, match="inverse of zero"):
         tw.zero() ** -2
 

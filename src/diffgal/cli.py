@@ -14,10 +14,9 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
-from . import inverse
+from ._record import Record
 from .diffop import FMatrix, SkewOp, build_Lf, shape_matrix
 from .errors import BudgetExceeded, DiffgalError, NotSupported, ParseError
 from .integrab import (
@@ -28,7 +27,7 @@ from .integrab import (
     elementary_n_witness,
     infinity_integrable_in_Cx,
 )
-from .mpoly import DEFAULT_BUDGET, MPoly
+from .mpoly import DEFAULT_BUDGET, DEFAULT_CYCLIC_BUDGET, MPoly
 from .parsing import MAX_DEPTH, _integer, parse_expr, parse_over_qx, parse_ratfunc
 from .ratfield import RatFunc, memo_scope
 from .tower import (Tower, TowerExpr, apply_operator, nested_solutions,
@@ -59,11 +58,14 @@ def _load_json(path: str, what: str) -> dict:
         return _expect(json.load(fh), dict, what)
 
 
-@dataclass
-class Config:
-    groebner_budget: int = DEFAULT_BUDGET
-    cyclic_search_budget: int = inverse.DEFAULT_CYCLIC_BUDGET
-    output_format: str = "json"
+class Config(Record):
+    _fields = ("groebner_budget", "cyclic_search_budget", "output_format")
+
+    def __init__(self, groebner_budget: int = DEFAULT_BUDGET,
+                 cyclic_search_budget: int = DEFAULT_CYCLIC_BUDGET, output_format: str = "json"):
+        self.groebner_budget = groebner_budget
+        self.cyclic_search_budget = cyclic_search_budget
+        self.output_format = output_format
 
     @classmethod
     def load(cls, path: str | None) -> "Config":
@@ -124,6 +126,8 @@ def _emit_text(report: dict, prefix: str = "") -> None:
 
 
 def _parse_group_spec(data: dict) -> inverse.GroupSpec:
+    from . import inverse
+
     n = _field(data, "n", "the spec")
     if not isinstance(n, int) or n < 2:
         raise ParseError("'n' must be an integer >= 2")
@@ -171,6 +175,8 @@ def _rational_entry(e, known: dict[int, Fraction]) -> Fraction:
 
 
 def cmd_construct(args, cfg: Config) -> int:
+    from . import inverse
+
     started = time.monotonic()
     data = _load_json(args.spec, "the spec file")
     spec = _parse_group_spec(data)
@@ -386,6 +392,8 @@ def cmd_verify(args, cfg: Config) -> int:
 
 
 def cmd_selftest(args, cfg: Config) -> int:
+    from . import inverse
+
     started = time.monotonic()
     results: dict[str, bool] = {}
     x = RatFunc.x()

@@ -10,10 +10,10 @@ proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from math import comb
-from typing import Sequence
 
+from ._record import Record
 from .errors import NotMonic, SingularGauge, ZeroEntry
 from .ratfield import _GCD_PRIME, RatFunc
 
@@ -411,11 +411,23 @@ def gauge_transform(a: FMatrix, b: FMatrix) -> FMatrix:
     return FMatrix(list(zip(*(row[n:] for row in reduced))))
 
 
-@dataclass(frozen=True)
-class CompanionMatrix:
-    """Companion form of a monic operator: superdiagonal ones, last row -a_i."""
+class CompanionMatrix(Record):
+    """Companion form of a monic operator: superdiagonal ones, last row -a_i.
+    Immutable and hashable."""
 
-    coeffs: tuple[RatFunc, ...]  # a_0 ... a_{n-1}
+    __slots__ = ("coeffs",)
+    _fields = __slots__
+
+    def __init__(self, coeffs: tuple[RatFunc, ...]):
+        object.__setattr__(self, "coeffs", coeffs)  # a_0 ... a_{n-1}
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     @property
     def n(self) -> int:

@@ -25,10 +25,10 @@ NotSupported rather than returning wrong answers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
+from ._record import Record
 from .errors import NotPolynomialInTheta, NotSupported
 from .mpoly import MPoly, _add_term
 from .ratfield import (RatFunc, UPoly, _conv, _coprime_mod_p, _hermite_parts, _int_eval,
@@ -38,15 +38,18 @@ from .tower import Tower, TowerExpr, laurent_normal
 _FAILED = "witness failed to differentiate back to the input"
 
 
-@dataclass
-class IntegrabilityVerdict:
+class IntegrabilityVerdict(Record):
     """Outcome of an integrability decision."""
 
-    status: str  # "integrable" | "not_integrable" | "not_supported"
-    witness: object = None
-    obstruction: object = None
-    step: int | None = None
-    reason: str | None = None
+    _fields = ("status", "witness", "obstruction", "step", "reason")
+
+    def __init__(self, status: str, witness: object = None, obstruction: object = None,
+                 step: int | None = None, reason: str | None = None):
+        self.status = status  # "integrable" | "not_integrable" | "not_supported"
+        self.witness = witness
+        self.obstruction = obstruction
+        self.step = step
+        self.reason = reason
 
     @property
     def is_integrable(self) -> bool:

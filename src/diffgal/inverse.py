@@ -13,11 +13,11 @@ recorded in a verification report.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Sequence
 
+from ._record import Record
 from .diffop import (
     CompanionMatrix,
     FMatrix,
@@ -40,17 +40,21 @@ from .errors import (
 # normal_form is not called here; `inverse.normal_form` stays bound because the
 # benchmark's test_uninstall_restores_every_binding asserts it.
 from .mpoly import (  # noqa: F401
+    DEFAULT_BUDGET,
+    DEFAULT_CYCLIC_BUDGET,
     Derivation,
     MPoly,
     PolyRing,
     buchberger,
     normal_form,
-    DEFAULT_BUDGET,
 )
 from .ratfield import RatFunc, UPoly, _hermite_parts, _int_eval, memo_scope
 from .tower import fundamental_T, rows_satisfy_T_prime_eq_AT
 
-DEFAULT_CYCLIC_BUDGET = 200
+# The largest n whose n(n-1)/2 coordinates Z_i_j are named (`zvar_names`):
+# well above the largest construct measured (U(24), about 5 s), and low enough
+# that parsing an ideal, one atom of n(n-1)/2 exponents per name, stays small.
+MAX_N = 64
 
 QMatrix = tuple[tuple[Fraction, ...], ...]
 
@@ -62,6 +66,10 @@ def _cells(n: int) -> list[tuple[int, int]]:
 
 
 def zvar_names(n: int) -> tuple[str, ...]:
+    """The names Z_i_j of the strictly upper cells, in `_cells` order; BadSpec
+    above MAX_N, before any list of n(n-1)/2 cells is formed."""
+    if n > MAX_N:
+        raise BadSpec(f"n must be at most {MAX_N} where the Z_i_j are named, got {n}")
     return tuple(f"Z_{i + 1}_{j + 1}" for i, j in _cells(n))
 
 
@@ -96,8 +104,7 @@ def _rank(rows: list[list[Fraction]]) -> int:
     return len(gauss_jordan(rows, len(rows[0]) if rows else 0)[1])
 
 
-@dataclass
-class GroupSpec:
+class GroupSpec(Record):
     """A unipotent subgroup of U(n) with the data Algorithm-style pipelines need.
 
     Either `ideal_gens` (over Q in the Z_i_j) or `lie_basis` may be omitted;
@@ -108,13 +115,13 @@ class GroupSpec:
     1, ..., l).
     """
 
-    n: int
-    ideal_gens: list[MPoly] | None = None
-    lie_basis: list[QMatrix] | None = None
-    l: int | None = None
-    a_choices: list[RatFunc] | None = None
+    _fields = ("n", "ideal_gens", "lie_basis", "l", "a_choices")
 
-    def __post_init__(self):
+    def __init__(self, n: int, ideal_gens: list[MPoly] | None = None,
+                 lie_basis: list[QMatrix] | None = None, l: int | None = None,
+                 a_choices: list[RatFunc] | None = None):
+        self.n, self.ideal_gens, self.lie_basis = n, ideal_gens, lie_basis
+        self.l, self.a_choices = l, a_choices
         if self.n < 2:
             raise BadSpec("n must be at least 2")
         if self.ideal_gens is None and self.lie_basis is None:
@@ -170,7 +177,7 @@ class GroupSpec:
                 raise ZeroEntry(f"a_{i + 1} is zero")
         if given is None:  # reordering the basis kept its span, and so the ideal
             ideal = [] if full else ideal_from_lie(basis, n)
-        # The basis passed `__post_init__`'s checks or is a nullspace basis;
+        # The basis passed `__init__`'s checks or is a nullspace basis;
         # checking it again cannot fail.
         out = object.__new__(GroupSpec)
         out.n, out.ideal_gens, out.lie_basis, out.l, out.a_choices = n, ideal, list(basis), l, a
@@ -428,40 +435,46 @@ def g_recursion(ws: Sequence[MPoly], deriv: Derivation) -> list[RatFunc]:
     return gs
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     """Checkable consequences of a pipeline run, every facet gating: the
     companion's gauge identity, base-field coefficients, annihilation modulo
     the ideal, the fundamental-matrix identity, the differential-ideal
     property, and the independence of the a_i modulo F' (exact)."""
 
-    companion_shape: bool = False
-    base_field_coefficients: bool = False
-    annihilation_mod_ideal: bool = False
-    fundamental_identity: bool = False
-    differential_ideal: bool = False
-    a_independence_verified: bool = False
+    _fields = ("companion_shape", "base_field_coefficients", "annihilation_mod_ideal",
+               "fundamental_identity", "differential_ideal", "a_independence_verified")
+
+    def __init__(self, companion_shape: bool = False, base_field_coefficients: bool = False,
+                 annihilation_mod_ideal: bool = False, fundamental_identity: bool = False,
+                 differential_ideal: bool = False, a_independence_verified: bool = False):
+        self.companion_shape = companion_shape
+        self.base_field_coefficients = base_field_coefficients
+        self.annihilation_mod_ideal = annihilation_mod_ideal
+        self.fundamental_identity = fundamental_identity
+        self.differential_ideal = differential_ideal
+        self.a_independence_verified = a_independence_verified
 
     def all_green(self) -> bool:
-        return all(self.as_dict().values())
+        return all(self._values())
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """The six facets by name, in the order above."""
+        return dict(zip(self._fields, self._values()))
 
 
-@dataclass
-class PipelineResult:
+class PipelineResult(Record):
     """Everything the construction produces, plus its verification report."""
 
-    spec: GroupSpec
-    A_u: FMatrix
-    B: FMatrix
-    A_c: CompanionMatrix
-    f_tuple: tuple[RatFunc, ...]  # (f_1, ..., f_n), monic convention
-    A: FMatrix
-    L: SkewOp
-    certificate: VerificationReport
-    groebner_basis: list[MPoly] = field(default_factory=list)
+    _fields = ("spec", "A_u", "B", "A_c", "f_tuple", "A", "L", "certificate",
+               "groebner_basis")
+
+    def __init__(self, spec: GroupSpec, A_u: FMatrix, B: FMatrix, A_c: CompanionMatrix,
+                 f_tuple: tuple[RatFunc, ...], A: FMatrix, L: SkewOp,
+                 certificate: VerificationReport, groebner_basis: list[MPoly] | None = None):
+        self.spec, self.A_u, self.B, self.A_c = spec, A_u, B, A_c
+        self.f_tuple = f_tuple  # (f_1, ..., f_n), monic convention
+        self.A, self.L, self.certificate = A, L, certificate
+        self.groebner_basis = [] if groebner_basis is None else groebner_basis
 
     @property
     def f_partial(self) -> tuple[RatFunc, ...]:

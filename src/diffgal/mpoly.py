@@ -11,8 +11,8 @@ dict and drops a sum that is zero.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetExceeded, ZeroDenominator
 from .ratfield import RatFunc
@@ -20,6 +20,9 @@ from .ratfield import RatFunc
 Monomial = tuple[int, ...]
 
 DEFAULT_BUDGET = 10**6
+# The cyclic-vector search's candidate budget; here beside the reduction budget
+# so the CLI's config defaults need no import of the construct pipeline.
+DEFAULT_CYCLIC_BUDGET = 200
 
 
 def _scalar_rational(v):

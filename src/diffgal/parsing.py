@@ -22,7 +22,7 @@ ring (operators, fractions over a tower ring) only where it meets that atom.
 from __future__ import annotations
 
 import re
-from typing import Callable, Mapping
+from collections.abc import Callable, Mapping
 
 from .errors import ParseError
 from .ratfield import RatFunc, UPoly, _make

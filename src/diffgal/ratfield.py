@@ -33,11 +33,11 @@ dropped when the scope exits.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterable
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
 from math import gcd as _igcd, isqrt, lcm
-from typing import Iterable
 
 from .errors import PrintLimitExceeded, ZeroDenominator, ZeroPolynomial
 

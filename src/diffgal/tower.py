@@ -12,7 +12,7 @@ exponents (Laurent) through the fraction field.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 # build_Lf is not called here; `tower.build_Lf` stays bound because the
 # benchmark's span recorder traces it under this name.

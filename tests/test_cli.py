@@ -6,7 +6,7 @@ import time
 import pytest
 
 from diffgal import inverse
-from diffgal.cli import main
+from diffgal.cli import Config, main
 from diffgal.parsing import parse_ratfunc
 from diffgal.ratfield import RatFunc
 
@@ -87,8 +87,14 @@ class TestConstruct:
 
     def test_schema_error_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"ideal": ["Z_2_3"]}))
-        assert main(["construct", "--spec", str(bad)]) == 2
+        # At n = 10**6 an `ideal` key, even an empty one, needs the 5*10**11
+        # names Z_i_j: n is rejected before any is formed (and before `l`).
+        for spec in ({"ideal": ["Z_2_3"]}, {"n": 10**6, "ideal": ["Z_1_2"]},
+                     {"n": 10**6, "ideal": [], "l": "1"}):
+            bad.write_text(json.dumps(spec))
+            assert main(["construct", "--spec", str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert "n" not in spec or f"n must be at most {inverse.MAX_N} " in err
 
     def test_float_and_bool_matrix_entries_exit_2(self, capsys, tmp_path):
         # 0.1 would otherwise become 3602879701896397/36028797018963968.
@@ -664,6 +670,10 @@ class TestConfigAndSelftest:
         code, out = run_cli(capsys, "construct", "--spec", spec_file)
         assert code == 0
         assert "command: construct" in out
+        cfg = Config.load(None)
+        assert cfg == Config(output_format="text") != Config()
+        assert repr(cfg) == ("Config(groebner_budget=1000000, cyclic_search_budget=200, "
+                             "output_format='text')")
 
     def test_budget_exceeded_exit_3(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import is_companion, rand_ratfunc, rand_small_entry
 from diffgal.diffop import (
+    CompanionMatrix,
     FMatrix,
     SkewOp,
     build_Lf,
@@ -202,6 +203,11 @@ class TestCompanion:
     def test_d2(self):
         comp = companion_of(SkewOp.D(2))
         assert comp.matrix() == FMatrix([[0, 1], [0, 0]])
+        same = CompanionMatrix((RatFunc.zero(), RatFunc.zero()))
+        assert comp == same and hash(comp) == hash(same) and comp != companion_of(SkewOp.D(3))
+        assert repr(comp) == f"CompanionMatrix(coeffs={comp.coeffs!r})"
+        with pytest.raises(AttributeError):
+            comp.coeffs = ()
 
     def test_golden_last_row(self):
         op = (SkewOp.D(3) + c(2 * (1 / X + 1 / (X - 1))) * SkewOp.D(2)

@@ -314,6 +314,11 @@ class TestClassifiers:
         assert not v.is_integrable
         v2 = IntegrabilityVerdict.not_supported("because")
         assert v2.status == "not_supported" and v2.reason == "because"
+        assert v2 == IntegrabilityVerdict("not_supported", reason="because") != v
+        assert repr(v2) == ("IntegrabilityVerdict(status='not_supported', witness=None, "
+                            "obstruction=None, step=None, reason='because')")
+        with pytest.raises(TypeError):
+            hash(v2)
 
 
 def _tower_of(kind):

@@ -18,6 +18,7 @@ from diffgal.errors import (
 )
 from diffgal.inverse import (
     GroupSpec,
+    VerificationReport,
     a_choices_independent,
     abelianization_prefix,
     build_Au,
@@ -287,6 +288,12 @@ class TestGenericPoint:
     def test_full_point_is_the_full_ring(self):
         assert generic_point(4)[0][0].ring == z_ring(4)
 
+    def test_z_names_stop_at_max_n(self):
+        n = inverse.MAX_N
+        assert len(z_ring(n).names) == n * (n - 1) // 2
+        with pytest.raises(BadSpec, match=f"at most {n} where the Z_i_j are named, got {n + 1}"):
+            z_ring(n + 1)
+
     def test_tail_in_a_dependent_variable_rejected(self):
         ring = z_ring(3, coeff="rational")
         gens = [ring.var("Z_1_3") - ring.var("Z_2_3"), ring.var("Z_2_3")]
@@ -373,6 +380,15 @@ class TestPipeline:
             }, sort_keys=True)
 
         assert snapshot() == snapshot()
+        res = run_pipeline(golden_spec())
+        assert res == run_pipeline(golden_spec()) and res.spec == res.spec.resolved()
+        assert list(res.certificate.as_dict()) == [
+            "companion_shape", "base_field_coefficients", "annihilation_mod_ideal",
+            "fundamental_identity", "differential_ideal", "a_independence_verified"]
+        assert repr(VerificationReport(differential_ideal=True)) == (
+            "VerificationReport(companion_shape=False, base_field_coefficients=False, "
+            "annihilation_mod_ideal=False, fundamental_identity=False, differential_ideal=True, "
+            "a_independence_verified=False)")
 
     def test_zero_a_choice_rejected(self):
         with pytest.raises(ZeroEntry):
